@@ -231,16 +231,19 @@ let run_faults ~quick ~csv =
           over a faulty wire (by drop probability)"
          rounds)
     ~headers:faults_headers ~rows ();
-  if List.for_all
-       (fun (p : Experiments.loss_point) -> p.Experiments.digest = baseline)
-       points
-  then Format.printf "digest check: all runs byte-identical to loss 0@."
+  let ok =
+    List.for_all
+      (fun (p : Experiments.loss_point) -> p.Experiments.digest = baseline)
+      points
+  in
+  if ok then Format.printf "digest check: all runs byte-identical to loss 0@."
   else Format.printf "DIGEST MISMATCH: faults leaked through the transport@.";
-  match csv with
+  (match csv with
   | Some path ->
       Table.write_csv ~path ~headers:faults_headers ~rows;
       Format.printf "csv written to %s@." path
-  | None -> ()
+  | None -> ());
+  if not ok then Stdlib.exit 1
 
 (* Collective algorithm sweep: latency vs ranks x payload per algorithm,
    every algorithm forced explicitly (not just the `Auto pick). *)
@@ -305,19 +308,23 @@ let run_coll ~quick ~csv =
            policy picks %s -> %s@."
           n big rd.Experiments.c_time_us rab.Experiments.c_time_us picked
           (if picked = winner then "agrees with measurement"
-           else "MISMATCH: policy picked the slower algorithm")
-    | _ -> ()
+           else "MISMATCH: policy picked the slower algorithm");
+        picked = winner
+    | _ -> true
   in
-  if quick then verdict 8 4096
-  else begin
-    verdict 16 16_384;
-    verdict 16 262_144
-  end;
-  match csv with
+  let ok =
+    if quick then verdict 8 4096
+    else
+      (* Both verdicts print, whatever the first one found. *)
+      let small = verdict 16 16_384 in
+      verdict 16 262_144 && small
+  in
+  (match csv with
   | Some path ->
       Table.write_csv ~path ~headers:coll_headers ~rows;
       Format.printf "csv written to %s@." path
-  | None -> ()
+  | None -> ());
+  if not ok then Stdlib.exit 1
 
 (* Overlap sweep: how much of an in-flight iallreduce a compute loop can
    hide, versus the blocking baseline. *)
@@ -788,7 +795,9 @@ let ablations_cmd =
     Term.(const (fun quick -> run_ablations ~quick) $ quick)
 
 let faults_cmd =
-  cmd_of "faults" "Loss sweep: the ring workload under injected faults."
+  cmd_of "faults"
+    "Loss sweep: the ring workload under injected faults; exit 1 if any \
+     run's digest differs from the loss-free one."
     Term.(const (fun quick csv -> run_faults ~quick ~csv) $ quick $ csv)
 
 let profile_cmd =
@@ -834,7 +843,9 @@ let killsweep_cmd =
       $ quick $ seeds $ out)
 
 let coll_cmd =
-  cmd_of "coll" "Collective algorithm sweep: latency vs ranks x payload."
+  cmd_of "coll"
+    "Collective algorithm sweep: latency vs ranks x payload; exit 1 if the \
+     allreduce policy picks the slower algorithm."
     Term.(const (fun quick csv -> run_coll ~quick ~csv) $ quick $ csv)
 
 let scale_cmd =

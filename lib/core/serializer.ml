@@ -286,9 +286,8 @@ let serialize_pass gc ~visited root =
 
 let serialize_raw gc ~visited root =
   let env = Vm.Heap.env (Gc.heap gc) in
-  Env.with_timer env Key.h_ser_encode (fun () ->
-      Simtime.Probe.with_span env ~rank:(-1) ~cat:"ser" ~name:"ser/encode"
-        (fun () -> serialize_pass gc ~visited root))
+  Simtime.Probe.with_span env ~key:Key.h_ser_encode ~rank:(-1) ~cat:"ser"
+    ~name:"ser/encode" (fun () -> serialize_pass gc ~visited root)
 
 let serialize gc ~visited obj =
   serialize_raw gc ~visited (Whole (Om.addr_of gc obj))
@@ -549,9 +548,8 @@ let deserialize_pass gc data =
 
 let deserialize gc data =
   let env = Vm.Heap.env (Gc.heap gc) in
-  Env.with_timer env Key.h_ser_decode (fun () ->
-      Simtime.Probe.with_span env ~rank:(-1) ~cat:"ser" ~name:"ser/decode"
-        (fun () -> deserialize_pass gc data))
+  Simtime.Probe.with_span env ~key:Key.h_ser_decode ~rank:(-1) ~cat:"ser"
+    ~name:"ser/decode" (fun () -> deserialize_pass gc data)
 
 (* ------------------------------------------------------------------ *)
 (* Split representation                                                *)

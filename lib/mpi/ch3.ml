@@ -1,4 +1,5 @@
 module Key = Simtime.Stats.Key
+module Probe = Simtime.Probe
 
 exception Mpi_error of string
 
@@ -174,11 +175,11 @@ let isend t ~dst ~tag ~context ?(mode = Standard) source =
     | Standard -> len <= t.env.Simtime.Env.cost.eager_threshold_bytes
     | Synchronous -> false
   in
-  Trace.record t.env ~rank:t.rank
-    ~op:(if eager then "isend" else "isend/rndv")
-    ~detail:(Printf.sprintf "dst=%d tag=%d %dB" dst tag len);
+  Probe.instant t.env ~rank:t.rank
+    ~name:(if eager then "isend" else "isend/rndv")
+    "dst=%d tag=%d %dB" dst tag len;
   if eager then begin
-    Trace.span_begin t.env ~rank:t.rank ~cat:"ch3" ~name:"eager"
+    Probe.span_begin t.env ~rank:t.rank ~cat:"ch3" ~name:"eager"
       ~args:[ ("dst", string_of_int dst); ("bytes", string_of_int len) ]
       ();
     let data = Bytes.create len in
@@ -189,14 +190,14 @@ let isend t ~dst ~tag ~context ?(mode = Standard) source =
     let dt = Simtime.Env.now_ns t.env -. t0 in
     Simtime.Env.observe t.env Key.h_ch3_send dt;
     Simtime.Env.observe t.env Key.h_ch3_eager dt;
-    Trace.span_end t.env ~rank:t.rank ~cat:"ch3" ~name:"eager" ();
+    Probe.span_end t.env ~rank:t.rank ~cat:"ch3" ~name:"eager" ();
     req
   end
   else begin
     let id = t.fresh_id () in
     Hashtbl.replace t.pending_sends id
       { ps_source = source; ps_dst = dst; ps_ctx = context; ps_req = req };
-    Trace.span_begin t.env ~id ~rank:t.rank ~cat:"ch3" ~name:"rndv"
+    Probe.span_begin t.env ~id ~rank:t.rank ~cat:"ch3" ~name:"rndv"
       ~args:[ ("dst", string_of_int dst); ("bytes", string_of_int len) ]
       ();
     (* Sender-side cost of a rendezvous transfer: RTS to local
@@ -205,7 +206,7 @@ let isend t ~dst ~tag ~context ?(mode = Standard) source =
         let dt = Simtime.Env.now_ns t.env -. t0 in
         Simtime.Env.observe t.env Key.h_ch3_send dt;
         Simtime.Env.observe t.env Key.h_ch3_rndv dt;
-        Trace.span_end t.env ~id ~rank:t.rank ~cat:"ch3" ~name:"rndv" ());
+        Probe.span_end t.env ~id ~rank:t.rank ~cat:"ch3" ~name:"rndv" ());
     t.chan.Channel.send ~src:t.rank ~dst (Packet.Rts (envelope, id));
     Simtime.Env.count t.env Key.rndv_sends;
     ignore (track t req);
@@ -245,9 +246,8 @@ let deliver_eager t (envelope : Packet.envelope) data
 
 let irecv t ~src ~tag ~context sink =
   charge_request t;
-  Trace.record t.env ~rank:t.rank ~op:"irecv"
-    ~detail:(Printf.sprintf "src=%d tag=%d %dB" src tag
-               (Buffer_view.length sink));
+  Probe.instant t.env ~rank:t.rank ~name:"irecv" "src=%d tag=%d %dB" src tag
+    (Buffer_view.length sink);
   let req = Request.create ~id:(t.fresh_id ()) Request.Recv_req in
   if ctx_revoked t context then begin
     Request.fail_reason req (Request.Comm_revoked context);
@@ -280,14 +280,13 @@ let irecv t ~src ~tag ~context sink =
    stale duplicate (a retransmission whose original already landed, or a
    NAK/CTS crossing on the wire). On a lossy transport these are normal;
    they are counted and dropped, never fatal. *)
-let stale_drop t what detail =
+let stale_drop t what pp x =
   Simtime.Env.count t.env Key.dup_drops;
-  Trace.record t.env ~rank:t.rank ~op:"drop"
-    ~detail:(Printf.sprintf "stale %s: %s" what detail)
+  Probe.instant t.env ~rank:t.rank ~name:"drop" "stale %s: %a" what pp x
 
 let handle_packet t packet =
-  Trace.record t.env ~rank:t.rank
-    ~op:
+  Probe.instant t.env ~rank:t.rank
+    ~name:
       (match packet with
       | Packet.Eager _ -> "eager"
       | Packet.Rts _ -> "rts"
@@ -296,22 +295,22 @@ let handle_packet t packet =
       | Packet.Nak _ -> "nak"
       | Packet.Frame _ -> "frame"
       | Packet.Ack _ -> "ack")
-    ~detail:(Packet.describe packet);
+    "%a" Packet.pp packet;
   match packet with
   | Packet.Eager (envelope, _)
     when ctx_revoked t envelope.Packet.e_context ->
-      stale_drop t "eager on revoked comm" (Packet.describe packet)
+      stale_drop t "eager on revoked comm" Packet.pp packet
   | Packet.(Eager (envelope, _) | Rts (envelope, _))
     when peer_dead t envelope.Packet.e_src ->
       (* In-flight traffic from a rank declared dead while the packet was
          on the wire: the failure model discards it (endpoints silent). *)
-      stale_drop t "message from dead rank" (Packet.describe packet)
+      stale_drop t "message from dead rank" Packet.pp packet
   | Packet.Rts (envelope, rndv_id)
     when ctx_revoked t envelope.Packet.e_context ->
       (* Refuse the transfer so the sender releases its rendezvous state
          (its own request was already failed when it aborted the
          context; the NAK covers senders outside the revoking world). *)
-      stale_drop t "rts on revoked comm" (Packet.describe packet);
+      stale_drop t "rts on revoked comm" Packet.pp packet;
       t.chan.Channel.send ~src:t.rank ~dst:envelope.Packet.e_src
         (Packet.Nak (rndv_id, "communicator revoked"))
   | Packet.Eager (envelope, data) -> (
@@ -331,7 +330,7 @@ let handle_packet t packet =
           Queues.add_unexpected t.queues (Queues.U_rts (envelope, rndv_id)))
   | Packet.Cts rndv_id -> (
       match Hashtbl.find_opt t.pending_sends rndv_id with
-      | None -> stale_drop t "cts" (Packet.describe packet)
+      | None -> stale_drop t "cts" Packet.pp packet
       | Some ps ->
           Hashtbl.remove t.pending_sends rndv_id;
           let len = Buffer_view.length ps.ps_source in
@@ -342,7 +341,7 @@ let handle_packet t packet =
           Request.complete ps.ps_req None)
   | Packet.Rndv_data (rndv_id, data) -> (
       match Hashtbl.find_opt t.pending_recvs rndv_id with
-      | None -> stale_drop t "data" (Packet.describe packet)
+      | None -> stale_drop t "data" Packet.pp packet
       | Some pr ->
           Hashtbl.remove t.pending_recvs rndv_id;
           let len = Bytes.length data in
@@ -350,14 +349,14 @@ let handle_packet t packet =
           Request.complete pr.pr_req (Some (status_of pr.pr_env)))
   | Packet.Nak (rndv_id, msg) -> (
       match Hashtbl.find_opt t.pending_sends rndv_id with
-      | None -> stale_drop t "nak" (Packet.describe packet)
+      | None -> stale_drop t "nak" Packet.pp packet
       | Some ps ->
           Hashtbl.remove t.pending_sends rndv_id;
           Request.fail ps.ps_req ("rendezvous refused by receiver: " ^ msg))
   | Packet.Frame _ | Packet.Ack _ ->
       (* Transport-layer framing leaking past a missing Reliable layer:
          not addressed to the device; drop rather than crash. *)
-      stale_drop t "transport frame" (Packet.describe packet)
+      stale_drop t "transport frame" Packet.pp packet
 
 let progress t =
   Simtime.Env.charge t.env t.env.Simtime.Env.cost.progress_poll_ns;
@@ -434,7 +433,8 @@ let fail_peer t ~peer =
       (match u with
        | Queues.U_eager (e, _) | Queues.U_rts (e, _) ->
            e.Packet.e_src = peer))
-  |> List.iter (fun _ -> stale_drop t "message from dead rank" "purged")
+  |> List.iter (fun _ ->
+         stale_drop t "message from dead rank" Format.pp_print_string "purged")
 
 (* Revocation: cancel every operation on the context, including in-flight
    collective schedules (their abort hook fails the generalized request),

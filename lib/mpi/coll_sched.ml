@@ -20,6 +20,9 @@
    GC's conditional-pin mechanism needs to poll collective buffers in the
    mark phase. *)
 
+module Key = Simtime.Stats.Key
+module Probe = Simtime.Probe
+
 type action =
   | Isend of { dst : int; tag : int; view : Buffer_view.t }
   | Irecv of { src : int; tag : int; view : Buffer_view.t }
@@ -93,21 +96,19 @@ let fence b =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let describe_action = function
+let pp_action ppf = function
   | Isend { dst; tag; view } ->
-      Printf.sprintf "isend dst=%d tag=%d %dB" dst tag
+      Format.fprintf ppf "isend dst=%d tag=%d %dB" dst tag
         (Buffer_view.length view)
   | Irecv { src; tag; view } ->
-      Printf.sprintf "irecv src=%d tag=%d %dB" src tag
+      Format.fprintf ppf "irecv src=%d tag=%d %dB" src tag
         (Buffer_view.length view)
-  | Reduce { label; _ } -> Printf.sprintf "reduce %s" label
-  | Copy { dst; _ } -> Printf.sprintf "copy %dB" (Buffer_view.length dst)
+  | Reduce { label; _ } -> Format.fprintf ppf "reduce %s" label
+  | Copy { dst; _ } -> Format.fprintf ppf "copy %dB" (Buffer_view.length dst)
 
-let trace_step sc op i (st : step) =
-  Trace.record (Ch3.env sc.sc_dev) ~rank:(Ch3.rank sc.sc_dev) ~op
-    ~detail:
-      (Printf.sprintf "%s[%d] r%d %s" sc.sc_name i st.s_round
-         (describe_action st.s_action))
+let trace_step sc name i (st : step) =
+  Probe.instant (Ch3.env sc.sc_dev) ~rank:(Ch3.rank sc.sc_dev) ~name
+    "%s[%d] r%d %a" sc.sc_name i st.s_round pp_action st.s_action
 
 let finish sc =
   (match sc.sc_hook with
@@ -115,15 +116,14 @@ let finish sc =
       Ch3.remove_progress_hook sc.sc_dev id;
       sc.sc_hook <- None
   | None -> ());
-  Trace.span_end (Ch3.env sc.sc_dev)
+  Probe.span_end (Ch3.env sc.sc_dev)
     ~id:(Request.id sc.sc_req)
     ~rank:(Ch3.rank sc.sc_dev) ~cat:"coll" ~name:sc.sc_name ();
-  Trace.record (Ch3.env sc.sc_dev) ~rank:(Ch3.rank sc.sc_dev) ~op:"sched/done"
-    ~detail:
-      (Printf.sprintf "%s %d step(s)%s" sc.sc_name (Array.length sc.sc_steps)
-         (match Request.error sc.sc_req with
-         | Some m -> " FAILED: " ^ m
-         | None -> ""))
+  Probe.instant (Ch3.env sc.sc_dev) ~rank:(Ch3.rank sc.sc_dev)
+    ~name:"sched/done" "%s %d step(s)%s" sc.sc_name (Array.length sc.sc_steps)
+    (match Request.error sc.sc_req with
+    | Some m -> " FAILED: " ^ m
+    | None -> "")
 
 (* Mark [st] done when its device request retires; a failed transfer
    (truncation, rendezvous refused, a dead peer, a revoked context) fails
@@ -136,8 +136,8 @@ let watch sc i st req =
       match Request.reason req with
       | Some (Request.Error msg) ->
           Request.fail sc.sc_req
-            (Printf.sprintf "%s step %d (%s): %s" sc.sc_name i
-               (describe_action st.s_action) msg)
+            (Format.asprintf "%s step %d (%a): %s" sc.sc_name i pp_action
+               st.s_action msg)
       | Some ((Request.Proc_failed _ | Request.Comm_revoked _) as reason) ->
           Request.fail_reason sc.sc_req reason;
           (* A process failure inside a collective must surface at every
@@ -160,32 +160,30 @@ let start_step sc i st =
      same). The blocking engine charged the equivalent implicitly by
      rescheduling the calling fiber between rounds. *)
   let env = Ch3.env sc.sc_dev in
-  Simtime.Env.with_timer env Simtime.Stats.Key.h_sched_step (fun () ->
-      Simtime.Env.with_timer env
-        (Simtime.Stats.Key.h_sched_step ^ "/" ^ sc.sc_name)
-        (fun () ->
-          Simtime.Env.charge env env.Simtime.Env.cost.sched_step_ns;
-          trace_step sc "sched/step" i st;
-          match st.s_action with
-          | Isend { dst; tag; view } ->
-              watch sc i st
-                (Ch3.isend sc.sc_dev ~dst ~tag ~context:sc.sc_context view)
-          | Irecv { src; tag; view } ->
-              watch sc i st
-                (Ch3.irecv sc.sc_dev ~src ~tag ~context:sc.sc_context view)
-          | Reduce { f; _ } ->
-              (* Operator application is not charged virtual time, matching
-                 the blocking engine this replaces. *)
-              f ();
-              st.s_state <- Done;
-              trace_step sc "sched/step-done" i st
-          | Copy { src; dst } ->
-              let len = Buffer_view.length dst in
-              Buffer_view.write_all dst (Buffer_view.read_all src);
-              Simtime.Env.charge_per_byte env
-                env.Simtime.Env.cost.memcpy_ns_per_byte len;
-              st.s_state <- Done;
-              trace_step sc "sched/step-done" i st))
+  let t0 = Simtime.Env.now_ns env in
+  Simtime.Env.charge env env.Simtime.Env.cost.sched_step_ns;
+  trace_step sc "sched/step" i st;
+  (match st.s_action with
+  | Isend { dst; tag; view } ->
+      watch sc i st (Ch3.isend sc.sc_dev ~dst ~tag ~context:sc.sc_context view)
+  | Irecv { src; tag; view } ->
+      watch sc i st (Ch3.irecv sc.sc_dev ~src ~tag ~context:sc.sc_context view)
+  | Reduce { f; _ } ->
+      (* Operator application is not charged virtual time, matching the
+         blocking engine this replaces. *)
+      f ();
+      st.s_state <- Done;
+      trace_step sc "sched/step-done" i st
+  | Copy { src; dst } ->
+      let len = Buffer_view.length dst in
+      Buffer_view.write_all dst (Buffer_view.read_all src);
+      Simtime.Env.charge_per_byte env env.Simtime.Env.cost.memcpy_ns_per_byte
+        len;
+      st.s_state <- Done;
+      trace_step sc "sched/step-done" i st);
+  let dt = Simtime.Env.now_ns env -. t0 in
+  Simtime.Env.observe env Key.h_sched_step dt;
+  Simtime.Env.observe env (Key.h_sched_step ^ "/" ^ sc.sc_name) dt
 
 (* One advance pass: retire the Done prefix, then start every Pending
    step of the frontier round. Repeats while frontier steps complete
@@ -276,16 +274,14 @@ let start b =
     }
   in
   Ch3.track_request b.b_dev req;
-  Trace.span_begin (Ch3.env b.b_dev) ~id:(Request.id req)
+  Probe.span_begin (Ch3.env b.b_dev) ~id:(Request.id req)
     ~rank:(Ch3.rank b.b_dev) ~cat:"coll" ~name:sc.sc_name
     ~args:[ ("steps", string_of_int (Array.length steps)) ]
     ();
-  Trace.record (Ch3.env b.b_dev) ~rank:(Ch3.rank b.b_dev) ~op:"sched/start"
-    ~detail:
-      (Printf.sprintf "%s %d step(s) %d round(s)" sc.sc_name
-         (Array.length steps)
-         (if Array.length steps = 0 then 0
-          else steps.(Array.length steps - 1).s_round + 1));
+  Probe.instant (Ch3.env b.b_dev) ~rank:(Ch3.rank b.b_dev) ~name:"sched/start"
+    "%s %d step(s) %d round(s)" sc.sc_name (Array.length steps)
+    (if Array.length steps = 0 then 0
+     else steps.(Array.length steps - 1).s_round + 1);
   (* A collective started on an already-revoked communicator fails
      before any step runs (entry check ULFM prescribes for every op). *)
   if Ch3.ctx_revoked b.b_dev b.b_context then begin

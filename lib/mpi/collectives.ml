@@ -1218,8 +1218,6 @@ let allreduce ?algo ?granule ?commutative p comm ~op send =
   wait_sched p req;
   out
 
-let allreduce_linear p comm ~op send = allreduce ~algo:`Linear p comm ~op send
-
 (* ------------------------------------------------------------------ *)
 (* Scan                                                                *)
 (* ------------------------------------------------------------------ *)

@@ -276,10 +276,6 @@ val allreduce :
     order-sensitive operators — [`Auto] then stays on recursive doubling,
     which folds in rank order. *)
 
-val allreduce_linear :
-  Mpi.proc -> Comm.t -> op:(Bytes.t -> Bytes.t -> unit) -> Bytes.t -> Bytes.t
-(** The reference oracle: binomial reduce to rank 0 + binomial bcast. *)
-
 val scan :
   Mpi.proc -> Comm.t -> op:(Bytes.t -> Bytes.t -> unit) -> Bytes.t -> Bytes.t
 (** Inclusive prefix reduction ([MPI_Scan]): member [r] receives the fold

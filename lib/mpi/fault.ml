@@ -174,9 +174,8 @@ let send t ~src ~dst packet =
   let at = now t in
   if partitioned t ~src ~dst at then begin
     Simtime.Env.count t.env Key.fault_drops;
-    Trace.record t.env ~rank:src ~op:"drop"
-      ~detail:(Printf.sprintf "partition %d->%d %s" src dst
-                 (Packet.describe packet))
+    Simtime.Probe.instant t.env ~rank:src ~name:"drop" "partition %d->%d %a"
+      src dst Packet.pp packet
   end
   else begin
     let id = t.counter in
@@ -185,9 +184,8 @@ let send t ~src ~dst packet =
     let roll salt = draw ~seed:p.seed ~packet:id ~salt in
     if roll 0 < p.drop then begin
       Simtime.Env.count t.env Key.fault_drops;
-      Trace.record t.env ~rank:src ~op:"drop"
-        ~detail:(Printf.sprintf "loss %d->%d %s" src dst
-                   (Packet.describe packet))
+      Simtime.Probe.instant t.env ~rank:src ~name:"drop" "loss %d->%d %a" src
+        dst Packet.pp packet
     end
     else begin
       let packet, lost =
@@ -203,8 +201,8 @@ let send t ~src ~dst packet =
       in
       if lost then begin
         Simtime.Env.count t.env Key.fault_drops;
-        Trace.record t.env ~rank:src ~op:"drop"
-          ~detail:(Printf.sprintf "corrupt-ack %d->%d" src dst)
+        Simtime.Probe.instant t.env ~rank:src ~name:"drop" "corrupt-ack %d->%d"
+          src dst
       end
       else begin
         if roll 3 < p.delay then begin

@@ -127,8 +127,8 @@ let mark_killed t ~rank =
     t.consumed.(rank) <- true;
     t.killed_at.(rank) <- now t;
     Simtime.Env.count t.env Key.proc_kills;
-    Trace.record t.env ~rank ~op:"kill"
-      ~detail:(Printf.sprintf "fail-stop at t=%.0fns" (now t))
+    Simtime.Probe.instant t.env ~rank ~name:"kill" "fail-stop at t=%.0fns"
+      (now t)
   end
 
 let finish t ~rank =
@@ -150,8 +150,8 @@ let declare_dead t rank =
       Simtime.Env.count t.env Key.proc_detections;
       if not (Float.is_nan t.killed_at.(rank)) then
         Simtime.Env.observe t.env Key.h_ft_detect (at -. t.killed_at.(rank));
-      Trace.record t.env ~rank ~op:"detect"
-        ~detail:(Printf.sprintf "rank %d declared dead at t=%.0fns" rank at);
+      Simtime.Probe.instant t.env ~rank ~name:"detect"
+        "rank %d declared dead at t=%.0fns" rank at;
       List.iter (fun f -> f rank) (List.rev t.on_death)
 
 let revive t ~rank =
@@ -161,8 +161,8 @@ let revive t ~rank =
   | _ -> invalid_arg "Ft.revive: rank is not down");
   t.states.(rank) <- Alive;
   t.last_beat.(rank) <- now t;
-  Trace.record t.env ~rank ~op:"revive"
-    ~detail:(Printf.sprintf "rank %d restarted at t=%.0fns" rank (now t));
+  Simtime.Probe.instant t.env ~rank ~name:"revive"
+    "rank %d restarted at t=%.0fns" rank (now t);
   List.iter (fun f -> f rank) (List.rev t.on_revive)
 
 let restart_after t ~rank =
@@ -218,10 +218,8 @@ let wrap_channel t chan =
       (fun ~src ~dst p ->
         if is_out t src || is_out t dst then begin
           Simtime.Env.count t.env Key.ft_silenced;
-          Trace.record t.env ~rank:src ~op:"drop"
-            ~detail:
-              (Printf.sprintf "dead endpoint %d->%d %s" src dst
-                 (Packet.describe p))
+          Simtime.Probe.instant t.env ~rank:src ~name:"drop"
+            "dead endpoint %d->%d %a" src dst Packet.pp p
         end
         else chan.Channel.send ~src ~dst p);
     poll =

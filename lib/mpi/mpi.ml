@@ -645,8 +645,8 @@ let comm_revoke p comm =
   if not (Ft.is_revoked ft comm.Comm.ctx) then begin
     Ft.revoke ft comm.Comm.ctx;
     Ft.revoke ft comm.Comm.ctx_coll;
-    Trace.record p.world.env ~rank:p.prank ~op:"revoke"
-      ~detail:(Printf.sprintf "ctx=%d" comm.Comm.ctx);
+    Simtime.Probe.instant p.world.env ~rank:p.prank ~name:"revoke" "ctx=%d"
+      comm.Comm.ctx;
     (* The revocation reaches every rank "now" — the simulation's
        stand-in for ULFM's reliable revoke flood. Every device cancels
        its pending operations on the context, so no rank stays blocked
@@ -784,10 +784,10 @@ let comm_shrink p comm =
     alloc_context p.world
       ~key:(Printf.sprintf "shrink/%d/%d/%x" comm.Comm.ctx e agreed)
   in
-  Trace.record p.world.env ~rank:p.prank ~op:"shrink"
-    ~detail:
-      (Printf.sprintf "ctx=%d -> ctx=%d survivors=[%s]" comm.Comm.ctx ctx
-         (String.concat ";" (List.map string_of_int alive)));
+  Simtime.Probe.instant p.world.env ~rank:p.prank ~name:"shrink"
+    "ctx=%d -> ctx=%d survivors=[%a]" comm.Comm.ctx ctx
+    Format.(pp_print_list ~pp_sep:(fun f () -> pp_print_char f ';') pp_print_int)
+    alive;
   Comm.make ~ctx ~members:(Array.of_list alive)
 
 let revive_rank w rank =
@@ -848,7 +848,7 @@ let rank_guard w rank body =
       | exception Ft.Killed r when r = rank ->
           Ch3.purge w.devices.(rank) ~reason:(Request.Proc_failed rank);
           Ft.mark_killed ft ~rank;
-          Trace.record w.env ~rank ~op:"kill" ~detail:"fiber torn down")
+          Simtime.Probe.instant w.env ~rank ~name:"kill" "fiber torn down")
 
 let run ?channel ?cost ?env ?fault ?reliable ?detector ?topology ?parallel ~n
     body =

@@ -75,18 +75,16 @@ let rec digest h = function
 
 let checksum p = Int64.to_int (Int64.logand (digest fnv_basis p) 0x3FFFFFFFL)
 
-let rec describe = function
+let rec pp ppf = function
   | Eager (e, b) ->
-      Printf.sprintf "eager %d->%d tag=%d %dB" e.e_src e.e_dst e.e_tag
+      Format.fprintf ppf "eager %d->%d tag=%d %dB" e.e_src e.e_dst e.e_tag
         (Bytes.length b)
   | Rts (e, id) ->
-      Printf.sprintf "rts %d->%d tag=%d %dB id=%d" e.e_src e.e_dst e.e_tag
-        e.e_bytes id
-  | Cts id -> Printf.sprintf "cts id=%d" id
-  | Rndv_data (id, b) ->
-      Printf.sprintf "data id=%d %dB" id (Bytes.length b)
-  | Nak (id, msg) -> Printf.sprintf "nak id=%d (%s)" id msg
+      Format.fprintf ppf "rts %d->%d tag=%d %dB id=%d" e.e_src e.e_dst
+        e.e_tag e.e_bytes id
+  | Cts id -> Format.fprintf ppf "cts id=%d" id
+  | Rndv_data (id, b) -> Format.fprintf ppf "data id=%d %dB" id (Bytes.length b)
+  | Nak (id, msg) -> Format.fprintf ppf "nak id=%d (%s)" id msg
   | Frame (f, inner) ->
-      Printf.sprintf "frame src=%d seq=%d [%s]" f.f_src f.f_seq
-        (describe inner)
-  | Ack (src, cum) -> Printf.sprintf "ack src=%d cum=%d" src cum
+      Format.fprintf ppf "frame src=%d seq=%d [%a]" f.f_src f.f_seq pp inner
+  | Ack (src, cum) -> Format.fprintf ppf "ack src=%d cum=%d" src cum

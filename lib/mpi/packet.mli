@@ -55,4 +55,5 @@ val checksum : t -> int
     truncated to 30 bits). Any single bit flip in a payload or header
     field changes the value. *)
 
-val describe : t -> string
+val pp : Format.formatter -> t -> unit
+(** One-line summary for trace details, e.g. [eager 0->1 tag=3 64B]. *)

@@ -1,4 +1,5 @@
 module Key = Simtime.Stats.Key
+module Probe = Simtime.Probe
 
 type config = {
   rto_base_ns : float;
@@ -91,11 +92,9 @@ let pump_retransmits t =
           if st.retries >= t.cfg.max_retries then begin
             st.gave_up <- true;
             Simtime.Env.count t.env Key.retx_giveups;
-            Trace.record t.env ~rank:src ~op:"retx"
-              ~detail:
-                (Printf.sprintf "giving up on dst=%d after %d timeouts (%d \
-                                 frames stranded)"
-                   dst st.retries (Queue.length st.unacked))
+            Probe.instant t.env ~rank:src ~name:"retx"
+              "giving up on dst=%d after %d timeouts (%d frames stranded)" dst
+              st.retries (Queue.length st.unacked)
           end
           else begin
             (* The backoff that had to elapse before this timeout fired:
@@ -104,8 +103,8 @@ let pump_retransmits t =
             Queue.iter
               (fun (_, framed) ->
                 Simtime.Env.count t.env Key.retransmits;
-                Trace.record t.env ~rank:src ~op:"retx"
-                  ~detail:(Packet.describe framed);
+                Probe.instant t.env ~rank:src ~name:"retx" "%a" Packet.pp
+                  framed;
                 t.chan.Channel.send ~src ~dst framed)
               st.unacked;
             st.retries <- st.retries + 1;
@@ -117,8 +116,7 @@ let pump_retransmits t =
 
 let send_ack t ~src ~dst ~cum =
   Simtime.Env.count t.env Key.acks;
-  Trace.record t.env ~rank:src ~op:"ack"
-    ~detail:(Printf.sprintf "dst=%d cum=%d" dst cum);
+  Probe.instant t.env ~rank:src ~name:"ack" "dst=%d cum=%d" dst cum;
   t.chan.Channel.send ~src ~dst (Packet.Ack (src, cum))
 
 let rec poll t ~rank =
@@ -133,8 +131,8 @@ let rec poll t ~rank =
            retransmission recovers the frame. Never a silent bad
            delivery. *)
         Simtime.Env.count t.env Key.corrupt_drops;
-        Trace.record t.env ~rank ~op:"drop"
-          ~detail:("checksum mismatch " ^ Packet.describe inner);
+        Probe.instant t.env ~rank ~name:"drop" "checksum mismatch %a" Packet.pp
+          inner;
         poll t ~rank
       end
       else if f.Packet.f_seq = rx.expected then begin
@@ -146,10 +144,8 @@ let rec poll t ~rank =
         (* Duplicate (fault-injected or a retransmission that crossed the
            ack): suppress, but re-ack so the sender stops resending. *)
         Simtime.Env.count t.env Key.dup_drops;
-        Trace.record t.env ~rank ~op:"drop"
-          ~detail:
-            (Printf.sprintf "dup seq=%d (expected %d) %s" f.Packet.f_seq
-               rx.expected (Packet.describe inner));
+        Probe.instant t.env ~rank ~name:"drop" "dup seq=%d (expected %d) %a"
+          f.Packet.f_seq rx.expected Packet.pp inner;
         send_ack t ~src:rank ~dst:src ~cum:(rx.expected - 1);
         poll t ~rank
       end
@@ -157,10 +153,8 @@ let rec poll t ~rank =
         (* A gap: an earlier frame is missing. Go-back-N discards the
            future frame and re-acks the last in-order sequence. *)
         Simtime.Env.count t.env Key.ooo_drops;
-        Trace.record t.env ~rank ~op:"drop"
-          ~detail:
-            (Printf.sprintf "out-of-order seq=%d (expected %d)"
-               f.Packet.f_seq rx.expected);
+        Probe.instant t.env ~rank ~name:"drop"
+          "out-of-order seq=%d (expected %d)" f.Packet.f_seq rx.expected;
         send_ack t ~src:rank ~dst:src ~cum:(rx.expected - 1);
         poll t ~rank
       end
@@ -211,8 +205,8 @@ let reset_peer t ~peer =
   purge t.txs;
   purge t.rxs;
   if !dropped > 0 then
-    Trace.record t.env ~rank:peer ~op:"retx"
-      ~detail:(Printf.sprintf "abandoned %d frame(s) for dead rank %d" !dropped peer);
+    Probe.instant t.env ~rank:peer ~name:"retx"
+      "abandoned %d frame(s) for dead rank %d" !dropped peer;
   !dropped
 
 let wrap ?(config = default_config) ~env chan =

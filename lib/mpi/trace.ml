@@ -1,6 +1,6 @@
-type kind = Instant | Span_begin | Span_end
+type kind = Simtime.Ring.kind = Instant | Span_begin | Span_end
 
-type event = {
+type event = Simtime.Ring.event = {
   t_us : float;
   rank : int;
   op : string;
@@ -11,121 +11,29 @@ type event = {
   span_id : int option;
 }
 
-type t = {
-  env : Simtime.Env.t;
-  capacity : int;
-  buf : event option array;
-  mutable next : int;  (* total events ever recorded *)
-  mutable open_spans : int;  (* begins minus ends, ever *)
-}
+type t = Simtime.Ring.t
 
-(* Traces attach to environments by identity; environments are few and
-   long-lived, so a small association list is enough. Atomic so that
-   under parallel execution each domain can look up its own trace while
-   another domain enables/disables one — each [t] itself is still
-   written by its environment's domain only, giving per-domain buffers
-   with a stable merge on read (DESIGN.md §15). *)
-let registry : (Simtime.Env.t * t) list Atomic.t = Atomic.make []
-
-let rec registry_update f =
-  let cur = Atomic.get registry in
-  if not (Atomic.compare_and_set registry cur (f cur)) then registry_update f
-
-let find env =
-  List.find_map
-    (fun (e, t) -> if e == env then Some t else None)
-    (Atomic.get registry)
-
-let push t ev =
-  t.buf.(t.next mod t.capacity) <- Some ev;
-  t.next <- t.next + 1
-
-let pp_args = function
-  | [] -> ""
-  | args ->
-      String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) args)
-
-(* The Probe sink: spans emitted anywhere below us (GC, serializer, call
-   gates) land in the same ring buffer as device events. *)
-let sink t ~kind ~id ~rank ~cat ~name ~args =
-  let kind =
-    match kind with
-    | Simtime.Probe.Begin ->
-        t.open_spans <- t.open_spans + 1;
-        Span_begin
-    | Simtime.Probe.End ->
-        t.open_spans <- t.open_spans - 1;
-        Span_end
-    | Simtime.Probe.Instant -> Instant
-  in
-  push t
-    {
-      t_us = Simtime.Env.now_us t.env;
-      rank;
-      op = name;
-      detail = pp_args args;
-      kind;
-      cat;
-      args;
-      span_id = id;
-    }
+(* The buffer hangs off the environment's trace slot; every layer emits
+   into it through Simtime.Probe. Under parallel execution each domain
+   owns its environment and so writes only its own buffer, giving
+   per-domain traces with a stable merge on read (DESIGN.md §15). *)
+let find env = Atomic.get env.Simtime.Env.trace
 
 let enable ?(capacity = 4096) env =
   match find env with
   | Some t -> t
   | None ->
-      let t =
-        {
-          env;
-          capacity;
-          buf = Array.make capacity None;
-          next = 0;
-          open_spans = 0;
-        }
-      in
-      registry_update (fun l -> (env, t) :: l);
-      Simtime.Probe.set_sink env (fun ~kind ~id ~rank ~cat ~name ~args ->
-          sink t ~kind ~id ~rank ~cat ~name ~args);
+      let t = Simtime.Ring.create capacity in
+      Atomic.set env.Simtime.Env.trace (Some t);
       t
 
-let disable env =
-  Simtime.Probe.clear_sink env;
-  registry_update (List.filter (fun (e, _) -> not (e == env)))
+let disable env = Atomic.set env.Simtime.Env.trace None
 
-let registered () = List.length (Atomic.get registry)
+let open_spans (t : t) = t.open_spans
+let length (t : t) = min t.next t.capacity
+let dropped (t : t) = max 0 (t.next - t.capacity)
 
-let record env ~rank ~op ~detail =
-  match find env with
-  | None -> ()
-  | Some t ->
-      push t
-        {
-          t_us = Simtime.Env.now_us env;
-          rank;
-          op;
-          detail;
-          kind = Instant;
-          cat = "";
-          args = [];
-          span_id = None;
-        }
-
-(* Span emission delegates to Probe so the MPI layers and the VM share one
-   path (and one no-op fast path when tracing is off). *)
-let span_begin env ?id ~rank ~cat ~name ?(args = []) () =
-  Simtime.Probe.span_begin env ?id ~rank ~cat ~name ~args ()
-
-let span_end env ?id ~rank ~cat ~name ?(args = []) () =
-  Simtime.Probe.span_end env ?id ~rank ~cat ~name ~args ()
-
-let with_span env ~rank ~cat ~name ?(args = []) f =
-  Simtime.Probe.with_span env ~rank ~cat ~name ~args f
-
-let open_spans t = t.open_spans
-let length t = min t.next t.capacity
-let dropped t = max 0 (t.next - t.capacity)
-
-let events t =
+let events (t : t) =
   let n = length t in
   let start = if t.next > t.capacity then t.next mod t.capacity else 0 in
   List.init n (fun i ->
@@ -133,7 +41,7 @@ let events t =
       | Some e -> e
       | None -> assert false)
 
-let clear t =
+let clear (t : t) =
   Array.fill t.buf 0 t.capacity None;
   t.next <- 0;
   t.open_spans <- 0
@@ -345,8 +253,3 @@ let to_chrome_json ?topo t =
     async_open;
   out "\n]\n}\n";
   Buffer.contents buf
-
-let write_chrome ?topo ~path t =
-  let oc = open_out path in
-  output_string oc (to_chrome_json ?topo t);
-  close_out oc

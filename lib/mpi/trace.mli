@@ -5,14 +5,15 @@
     readable timeline, exported as a Chrome-trace JSON that loads in
     [chrome://tracing] and Perfetto, or handed to tests.
 
-    Tracing is per-environment and off by default; enabling it attaches a
-    bounded ring buffer (oldest events are dropped once full) and installs
-    the environment's {!Simtime.Probe} sink, so spans emitted by the VM
-    and serializer layers land in the same buffer as device events. *)
+    Tracing is per-environment and off by default; enabling it puts a
+    bounded ring buffer (oldest events are dropped once full) in the
+    environment's trace slot. Every layer — device, schedule engine, VM,
+    serializer — emits through {!Simtime.Probe}, so all events land in
+    that one buffer. This module only attaches, reads and exports it. *)
 
-type kind = Instant | Span_begin | Span_end
+type kind = Simtime.Ring.kind = Instant | Span_begin | Span_end
 
-type event = {
+type event = Simtime.Ring.event = {
   t_us : float;  (** virtual time at which the event was recorded *)
   rank : int;  (** [-1] denotes the runtime (GC, serializer) *)
   op : string;  (** e.g. "isend", "eager", or a span name like "gc/full" *)
@@ -28,57 +29,17 @@ type event = {
 type t
 
 val enable : ?capacity:int -> Simtime.Env.t -> t
-(** Attach a trace (default capacity 4096 events) to an environment.
-    Subsequent device activity in any world sharing the environment is
-    recorded. Enabling twice returns the existing trace. *)
+(** Attach a trace (default capacity 4096 events) to the environment's
+    trace slot. Subsequent activity in any world sharing the environment
+    is recorded. Enabling twice returns the existing trace. *)
 
 val disable : Simtime.Env.t -> unit
-(** Detach the environment's trace (if any) from the global registry and
-    remove its probe sink, so long simulation campaigns that enable
-    tracing per world do not accumulate dead environments. No-op if
-    tracing was never enabled. *)
-
-val registered : unit -> int
-(** Number of environments currently holding a trace (leak tests). *)
+(** Empty the environment's trace slot, so later emission is a no-op. A
+    trace already returned by {!enable} stays readable. No-op if tracing
+    is not enabled. Nothing outside the environment refers to its trace,
+    so an environment that is never disabled is still collected. *)
 
 val find : Simtime.Env.t -> t option
-val record : Simtime.Env.t -> rank:int -> op:string -> detail:string -> unit
-(** No-op when tracing is not enabled — safe on hot paths. *)
-
-(** {1 Spans}
-
-    Thin wrappers over {!Simtime.Probe}: no-ops unless tracing is enabled
-    on the environment. Pass [id] for async spans (operations that overlap
-    other activity on the same rank); omit it for scoped sync spans. *)
-
-val span_begin :
-  Simtime.Env.t ->
-  ?id:int ->
-  rank:int ->
-  cat:string ->
-  name:string ->
-  ?args:(string * string) list ->
-  unit ->
-  unit
-
-val span_end :
-  Simtime.Env.t ->
-  ?id:int ->
-  rank:int ->
-  cat:string ->
-  name:string ->
-  ?args:(string * string) list ->
-  unit ->
-  unit
-
-val with_span :
-  Simtime.Env.t ->
-  rank:int ->
-  cat:string ->
-  name:string ->
-  ?args:(string * string) list ->
-  (unit -> 'a) ->
-  'a
 
 val open_spans : t -> int
 (** Span begins minus span ends ever recorded: 0 when every span emitted
@@ -112,5 +73,3 @@ val to_chrome_json : ?topo:Simtime.Topology.t -> t -> string
     pairs are always well formed even after ring-buffer overflow: orphan
     ends are dropped, dangling begins are closed at the trace's last
     timestamp. Field order is fixed, so output is golden-testable. *)
-
-val write_chrome : ?topo:Simtime.Topology.t -> path:string -> t -> unit

@@ -2,12 +2,17 @@ type t = {
   clock : Clock.t;
   cost : Cost.t;
   stats : Stats.t;
+  trace : Ring.t option Atomic.t;
 }
 
 let create ?(cost = Cost.motor) () =
-  { clock = Clock.create (); cost; stats = Stats.create () }
+  {
+    clock = Clock.create ();
+    cost;
+    stats = Stats.create ();
+    trace = Atomic.make None;
+  }
 
-let with_cost cost t = { t with cost }
 let now_us t = Clock.now_us t.clock
 let now_ns t = Clock.now_ns t.clock
 let charge t ns = Clock.advance t.clock ns
@@ -19,6 +24,3 @@ let charge_per_byte t ns_per_byte n =
 let count t key = Stats.incr t.stats key
 let count_n t key n = Stats.add t.stats key n
 let observe t key v = Stats.observe t.stats key v
-
-let with_timer t key f =
-  Stats.with_timer t.stats key ~now:(fun () -> Clock.now_ns t.clock) f

@@ -1,4 +1,5 @@
-(** Simulation environment: one clock + one cost model + one counter set.
+(** Simulation environment: one clock + one cost model + one counter set,
+    plus the slot that holds the environment's trace buffer.
 
     A single [Env.t] is threaded through a whole simulated world (all ranks of
     one run share the clock; per-rank state lives in the VM and MPI layers).
@@ -9,14 +10,17 @@ type t = {
   clock : Clock.t;
   cost : Cost.t;
   stats : Stats.t;
+  trace : Ring.t option Atomic.t;
+      (** The attached trace buffer, [None] while tracing is off.
+          [Mpi_core.Trace.enable]/[disable] set it; {!Probe} reads it on
+          every emission. Atomic because under parallel execution a
+          spawned domain may read it while the main domain attaches or
+          detaches one. *)
 }
 
 val create : ?cost:Cost.t -> unit -> t
-(** Fresh environment; the cost model defaults to {!Cost.motor}. *)
-
-val with_cost : Cost.t -> t -> t
-(** Same clock and stats, different cost model. Used by managed-wrapper
-    baselines that share a world with other systems. *)
+(** Fresh environment with tracing off; the cost model defaults to
+    {!Cost.motor}. *)
 
 val now_us : t -> float
 val now_ns : t -> float
@@ -30,9 +34,6 @@ val count : t -> string -> unit
 val count_n : t -> string -> int -> unit
 
 val observe : t -> string -> float -> unit
-(** Record a virtual-time sample (ns) into the named {!Stats} histogram. *)
-
-val with_timer : t -> string -> (unit -> 'a) -> 'a
-(** Run a scope and observe the virtual time it charged into the named
-    histogram: the standard way to attribute a pause or a pass to a
-    mechanism. *)
+(** Record a virtual-time sample (ns) into the named {!Stats} histogram.
+    {!Probe.with_span} [~key] times a scope into a histogram and traces
+    it as a span in one call. *)

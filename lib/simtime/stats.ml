@@ -77,12 +77,6 @@ let observe t key v =
   let b = bucket_of v in
   h.h_buckets.(b) <- h.h_buckets.(b) + 1
 
-let with_timer t key ~now f =
-  let t0 = now () in
-  Fun.protect
-    ~finally:(fun () -> observe t key (Float.max 0.0 (now () -. t0)))
-    f
-
 let reset t =
   Hashtbl.iter (fun _ r -> r := 0) t.counters;
   Hashtbl.reset t.hists

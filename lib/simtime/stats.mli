@@ -24,11 +24,6 @@ val observe : t -> string -> float -> unit
 (** Record a non-negative sample (virtual nanoseconds by convention) into
     the named histogram, creating it if absent. *)
 
-val with_timer : t -> string -> now:(unit -> float) -> (unit -> 'a) -> 'a
-(** [with_timer t key ~now f] runs [f] and observes [now() - now()@entry]
-    into [key] — including when [f] raises. [now] is typically the
-    environment's virtual clock ({!Env.with_timer} wires that up). *)
-
 val reset : t -> unit
 (** Zero every counter and drop every histogram. *)
 

@@ -221,12 +221,11 @@ let resolve_pins t =
 let rec collect t ~full =
   if t.in_gc then invalid_arg "Gc.collect: re-entrant collection";
   t.in_gc <- true;
-  Simtime.Env.with_timer t.env
-    (if full then Key.h_gc_full_pause else Key.h_gc_young_pause)
-    (fun () ->
-      Simtime.Probe.with_span t.env ~rank:(-1) ~cat:"gc"
-        ~name:(if full then "gc/full" else "gc/young")
-        (fun () -> collect_timed t ~full));
+  Simtime.Probe.with_span t.env
+    ~key:(if full then Key.h_gc_full_pause else Key.h_gc_young_pause)
+    ~rank:(-1) ~cat:"gc"
+    ~name:(if full then "gc/full" else "gc/young")
+    (fun () -> collect_timed t ~full);
   t.in_gc <- false;
   List.iter (fun hook -> hook ()) t.post_gc_hooks
 
@@ -242,9 +241,9 @@ and collect_timed t ~full =
      elder slots that point into the young generation so the evacuation can
      update them. The conditional pin requests are resolved here, "during
      the mark phase", exactly as Section 7.4 describes. *)
-  let cycle_pins =
-    Simtime.Env.with_timer t.env Key.h_gc_pin_poll (fun () -> resolve_pins t)
-  in
+  let t0 = Simtime.Env.now_ns t.env in
+  let cycle_pins = resolve_pins t in
+  Simtime.Env.observe t.env Key.h_gc_pin_poll (Simtime.Env.now_ns t.env -. t0);
   let in_young a = a <> Heap.null && Heap.in_young h a in
   let young_refs = ref [] in
   let marked = ref 0 in

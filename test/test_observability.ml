@@ -1,6 +1,7 @@
 (* The observability layer end to end: the Chrome-trace exporter's exact
    output (golden), its pair-repair under ring-buffer overflow, snapshot
-   diffing, and the enable/disable lifecycle of the probe sinks. *)
+   diffing, and the enable/disable lifecycle of the environment's trace
+   slot. *)
 
 module Env = Simtime.Env
 module Stats = Simtime.Stats
@@ -35,17 +36,17 @@ let golden =
 let test_chrome_golden () =
   let env = fresh_env () in
   let trace = Trace.enable env in
-  Trace.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager"
+  Probe.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager"
     ~args:[ ("dst", "1"); ("bytes", "64") ] ();
   Env.charge env 1000.0;
-  Trace.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ();
-  Trace.span_begin env ~id:7 ~rank:0 ~cat:"coll" ~name:"allreduce" ();
+  Probe.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ();
+  Probe.span_begin env ~id:7 ~rank:0 ~cat:"coll" ~name:"allreduce" ();
   Env.charge env 500.0;
-  Trace.record env ~rank:1 ~op:"recv" ~detail:"tag=3";
-  Trace.span_end env ~id:7 ~rank:0 ~cat:"coll" ~name:"allreduce" ();
-  Trace.span_begin env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
+  Probe.instant env ~rank:1 ~name:"recv" "tag=3";
+  Probe.span_end env ~id:7 ~rank:0 ~cat:"coll" ~name:"allreduce" ();
+  Probe.span_begin env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
   Env.charge env 250.0;
-  Trace.span_end env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
+  Probe.span_end env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
   Alcotest.(check string) "golden chrome json" (golden ^ "\n")
     (Trace.to_chrome_json trace);
   Trace.disable env
@@ -75,16 +76,16 @@ let golden_topo =
 let test_chrome_golden_topo () =
   let env = fresh_env () in
   let trace = Trace.enable env in
-  Trace.record env ~rank:1 ~op:"send" ~detail:"tag=1";
+  Probe.instant env ~rank:1 ~name:"send" "tag=1";
   Env.charge env 500.0;
-  Trace.record env ~rank:2 ~op:"recv" ~detail:"tag=1";
-  Trace.span_begin env ~rank:3 ~cat:"ch3" ~name:"eager"
+  Probe.instant env ~rank:2 ~name:"recv" "tag=1";
+  Probe.span_begin env ~rank:3 ~cat:"ch3" ~name:"eager"
     ~args:[ ("dst", "0") ] ();
   Env.charge env 1000.0;
-  Trace.span_end env ~rank:3 ~cat:"ch3" ~name:"eager" ();
-  Trace.span_begin env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
+  Probe.span_end env ~rank:3 ~cat:"ch3" ~name:"eager" ();
+  Probe.span_begin env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
   Env.charge env 250.0;
-  Trace.span_end env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
+  Probe.span_end env ~rank:(-1) ~cat:"gc" ~name:"gc/young" ();
   Alcotest.(check string) "golden chrome json with topology"
     (golden_topo ^ "\n")
     (Trace.to_chrome_json ~topo:(Simtime.Topology.make ~nodes:2 ~cores:2)
@@ -111,17 +112,17 @@ let test_overflow_pairs () =
   (* 20 sync spans + 10 async spans: far more than 8 slots, so the
      buffer wraps and orphan ends land at the front of the window. *)
   for i = 1 to 20 do
-    Trace.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager" ();
+    Probe.span_begin env ~rank:0 ~cat:"ch3" ~name:"eager" ();
     Env.charge env (float_of_int i);
-    Trace.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ()
+    Probe.span_end env ~rank:0 ~cat:"ch3" ~name:"eager" ()
   done;
   for i = 1 to 10 do
-    Trace.span_begin env ~id:i ~rank:1 ~cat:"coll" ~name:"bcast" ();
+    Probe.span_begin env ~id:i ~rank:1 ~cat:"coll" ~name:"bcast" ();
     Env.charge env 10.0;
-    Trace.span_end env ~id:i ~rank:1 ~cat:"coll" ~name:"bcast" ()
+    Probe.span_end env ~id:i ~rank:1 ~cat:"coll" ~name:"bcast" ()
   done;
   (* A dangling begin: the exporter must close it, not drop the pair. *)
-  Trace.span_begin env ~rank:0 ~cat:"ch3" ~name:"rndv" ();
+  Probe.span_begin env ~rank:0 ~cat:"ch3" ~name:"rndv" ();
   Alcotest.(check bool) "buffer overflowed" true (Trace.dropped trace > 0);
   let json = Trace.to_chrome_json trace in
   Alcotest.(check int) "sync begins match ends"
@@ -171,34 +172,66 @@ let test_snapshot_diff () =
   Alcotest.(check string) "json deterministic" json (Stats.to_json after)
 
 (* ------------------------------------------------------------------ *)
-(* Lifecycle: enabling tracing installs a probe sink; disabling must   *)
-(* remove both registrations, and balanced spans leave no residue.     *)
+(* Lifecycle: enabling tracing fills the environment's trace slot;    *)
+(* disabling empties it, balanced spans leave no residue, and nothing  *)
+(* outside the environment keeps it alive.                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_no_leaks () =
-  let traces0 = Trace.registered () in
-  let sinks0 = Probe.installed () in
-  for _ = 1 to 50 do
+  let env = fresh_env () in
+  let trace = Trace.enable env in
+  Probe.with_span env ~key:"test/span_ns" ~rank:0 ~cat:"ch3" ~name:"eager"
+    (fun () -> Env.charge env 10.0);
+  Probe.span_begin env ~id:1 ~rank:0 ~cat:"coll" ~name:"bcast" ();
+  Probe.span_end env ~id:1 ~rank:0 ~cat:"coll" ~name:"bcast" ();
+  Alcotest.(check int) "spans balanced" 0 (Trace.open_spans trace);
+  Trace.disable env;
+  Alcotest.(check bool) "trace detached" true (Trace.find env = None)
+
+(* An environment traced to the end of its life and never disabled must
+   still be collectable: no global table may pin it. *)
+let test_env_collectable () =
+  let w = Weak.create 1 in
+  let traced_run () =
     let env = fresh_env () in
-    let trace = Trace.enable env in
-    Trace.with_span env ~rank:0 ~cat:"ch3" ~name:"eager" (fun () ->
-        Env.charge env 10.0);
-    Trace.span_begin env ~id:1 ~rank:0 ~cat:"coll" ~name:"bcast" ();
-    Trace.span_end env ~id:1 ~rank:0 ~cat:"coll" ~name:"bcast" ();
-    Alcotest.(check int) "spans balanced" 0 (Trace.open_spans trace);
-    Trace.disable env
-  done;
-  Alcotest.(check int) "traces released" traces0 (Trace.registered ());
-  Alcotest.(check int) "probe sinks released" sinks0 (Probe.installed ())
+    ignore (Trace.enable env);
+    Probe.instant env ~rank:0 ~name:"tick" "%d" 1;
+    Weak.set w 0 (Some env)
+  in
+  traced_run ();
+  Gc.full_major ();
+  Alcotest.(check bool) "env collected" false (Weak.check w 0)
+
+(* An instant's detail is formatted only into an attached buffer: with
+   tracing off, its printers never run. *)
+let test_instant_detail_lazy () =
+  let env = fresh_env () in
+  let calls = ref 0 in
+  let pp ppf () =
+    incr calls;
+    Format.pp_print_string ppf "x"
+  in
+  Probe.instant env ~rank:0 ~name:"n" "d=%a" pp ();
+  Alcotest.(check int) "printer not called without a trace" 0 !calls;
+  let trace = Trace.enable env in
+  Probe.instant env ~rank:0 ~name:"n" "d=%a" pp ();
+  Alcotest.(check int) "printer called once with a trace" 1 !calls;
+  Alcotest.(check (list string)) "detail formatted" [ "d=x" ]
+    (List.map (fun e -> e.Trace.detail) (Trace.events trace));
+  Trace.disable env
 
 let test_with_span_on_raise () =
   let env = fresh_env () in
   let trace = Trace.enable env in
   (try
-     Trace.with_span env ~rank:0 ~cat:"ch3" ~name:"eager" (fun () ->
-         failwith "boom")
+     Probe.with_span env ~key:"test/span_ns" ~rank:0 ~cat:"ch3" ~name:"eager"
+       (fun () -> failwith "boom")
    with Failure _ -> ());
   Alcotest.(check int) "span closed on raise" 0 (Trace.open_spans trace);
+  Alcotest.(check (option int)) "sample observed on raise" (Some 1)
+    (Option.map
+       (fun h -> h.Stats.n)
+       (Stats.hist env.Env.stats "test/span_ns"));
   Trace.disable env
 
 let () =
@@ -219,5 +252,9 @@ let () =
           Alcotest.test_case "no trace/probe leaks" `Quick test_no_leaks;
           Alcotest.test_case "with_span closes on raise" `Quick
             test_with_span_on_raise;
+          Alcotest.test_case "never-disabled env is collectable" `Quick
+            test_env_collectable;
+          Alcotest.test_case "instant detail formatted lazily" `Quick
+            test_instant_detail_lazy;
         ] );
     ]

@@ -126,10 +126,11 @@ let test_hist_reset () =
   Alcotest.(check bool) "reset drops histograms" true
     (Stats.hist s "lat" = None)
 
-let test_env_with_timer () =
+let test_with_span_key () =
   let env = Env.create ~cost:Cost.motor () in
   let r =
-    Env.with_timer env "work" (fun () ->
+    Simtime.Probe.with_span env ~key:"work" ~rank:0 ~cat:"test" ~name:"work"
+      (fun () ->
         Env.charge env 1234.0;
         42)
   in
@@ -146,12 +147,6 @@ let test_env_charges () =
   Env.charge env 1000.0;
   Env.charge_per_byte env 2.0 500;
   Alcotest.(check (float 1e-9)) "total" 2.0 (Env.now_us env)
-
-let test_env_with_cost_shares_clock () =
-  let env = Env.create ~cost:Cost.motor () in
-  let env2 = Env.with_cost Cost.native_cpp env in
-  Env.charge env2 3000.0;
-  Alcotest.(check (float 1e-9)) "shared clock" 3.0 (Env.now_us env)
 
 let prop_clock_monotone =
   QCheck.Test.make ~name:"clock is monotone under non-negative charges"
@@ -211,10 +206,8 @@ let () =
         [
           Alcotest.test_case "charges reach the clock" `Quick
             test_env_charges;
-          Alcotest.test_case "with_cost shares the clock" `Quick
-            test_env_with_cost_shares_clock;
-          Alcotest.test_case "with_timer observes the charge" `Quick
-            test_env_with_timer;
+          Alcotest.test_case "with_span ~key observes the charge" `Quick
+            test_with_span_key;
         ] );
       ( "properties",
         [
