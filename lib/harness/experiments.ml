@@ -235,7 +235,7 @@ let abl_eager_threshold ?(protocol = default_abl_protocol) () =
                     (Baselines.Native.recv p ~comm ~src:other ~tag:0 buf))
                 result
             in
-            Fiber.run [ ("e0", body 0); ("e1", body 1) ];
+            Mpi_core.Mpi.run_fibers w [ ("e0", body 0); ("e1", body 1) ];
             (size, Workloads.average !result))
           sizes
       in

@@ -66,7 +66,7 @@ let bytes_trial_native ~protocol ~size =
         ignore (Baselines.Native.recv p ~comm ~src:other ~tag:0 buf))
       result
   in
-  Fiber.run [ ("pp0", body 0); ("pp1", body 1) ];
+  Mpi.run_fibers w [ ("pp0", body 0); ("pp1", body 1) ];
   average !result
 
 let bytes_trial_motor ~protocol ~size =

@@ -359,7 +359,7 @@ let handle_packet t packet =
       stale_drop t "transport frame" Packet.pp packet
 
 let progress t =
-  Simtime.Env.charge t.env t.env.Simtime.Env.cost.progress_poll_ns;
+  Simtime.Env.charge_poll t.env t.env.Simtime.Env.cost.progress_poll_ns;
   (* Failure detector first: beat this rank, sweep the others. Pending
      declarations may fail requests, which the hooks below observe. *)
   (match t.tick with Some f -> f () | None -> ());

@@ -20,7 +20,6 @@ let make ~name ~per_msg_ns ~per_byte_ns ?topo ?intra ~syscall_fraction ~env
   let count = ref n_ranks in
   let send_seq = ref 0 in
   let last_arrival : (int * int, float) Hashtbl.t = Hashtbl.create 16 in
-  let clock = env.Simtime.Env.clock in
   let cost = env.Simtime.Env.cost in
   (* Per-tier pricing: with a topology and an intra-node profile,
      same-node endpoints pay the (cheaper) intra figures; everything
@@ -50,7 +49,7 @@ let make ~name ~per_msg_ns ~per_byte_ns ?topo ?intra ~syscall_fraction ~env
          Simtime.Env.count env Simtime.Stats.Key.msgs_inter_node;
          Simtime.Env.count_n env Simtime.Stats.Key.bytes_inter_node wire
        end);
-    let now = Simtime.Clock.now_ns clock in
+    let now = Simtime.Env.now_ns env in
     let computed = now +. per_msg_ns +. (per_byte_ns *. float_of_int wire) in
     let key = (src, dst) in
     let floor =
@@ -84,7 +83,7 @@ let make ~name ~per_msg_ns ~per_byte_ns ?topo ?intra ~syscall_fraction ~env
     match !inbox with
     | [] -> None
     | e :: rest ->
-        if e.arrival <= Simtime.Clock.now_ns clock then begin
+        if Simtime.Env.arrived env e.arrival then begin
           inbox := rest;
           Fiber.note_activity ();
           Some e.packet

@@ -110,7 +110,7 @@ type t = {
   mutable held : delayed list;  (* unsorted; sorted at release time *)
 }
 
-let now t = Simtime.Clock.now_ns t.env.Simtime.Env.clock
+let now t = Simtime.Env.now_ns t.env
 
 let partitioned t ~src ~dst at =
   List.exists

@@ -334,6 +334,15 @@ let irecv p ~comm ~src ~tag buf =
   in
   Ch3.irecv p.dev ~src ~tag ~context:comm.Comm.ctx buf
 
+(* A wait predicate's verdict. When the progress pump moved nothing and
+   the wait is not over, the evaluation left everything but the clock and
+   the poll counters as it found them: vouch for it, so an idle
+   scheduler pass made only of such evaluations can be fast-forwarded
+   (Env.pass_end). *)
+let quiet p ~moved done_ =
+  if not (moved || done_) then Simtime.Env.vouch (Ch3.env p.dev);
+  done_
+
 (* Polling wait. Inside a fiber scheduler we suspend; in plain code (unit
    tests, self-sends) we spin on the progress engine with a safety bound.
    A doomed rank (its kill time passed) wakes from the wait and dies via
@@ -345,8 +354,8 @@ let wait_poll p ~poll req =
   if Fiber.in_scheduler () then
     Fiber.wait_until ~label:"mpi-wait" (fun () ->
         poll ();
-        ignore (Ch3.progress p.dev);
-        Request.is_complete req || self_doomed p)
+        let moved = Ch3.progress p.dev in
+        quiet p ~moved (Request.is_complete req || self_doomed p))
   else begin
     let spins = ref 0 in
     while not (Request.is_complete req || self_doomed p) do
@@ -379,12 +388,12 @@ let wait_any p reqs =
       check_self p;
       let found = ref None in
       let check () =
-        ignore (Ch3.progress p.dev);
+        let moved = Ch3.progress p.dev in
         match List.find_opt Request.is_complete reqs with
         | Some r ->
             found := Some r;
             true
-        | None -> self_doomed p
+        | None -> quiet p ~moved (self_doomed p)
       in
       if Fiber.in_scheduler () then Fiber.wait_until ~label:"mpi-waitany" check
       else begin
@@ -413,8 +422,8 @@ let wait_some p reqs =
       check_self p;
       let done_ () = List.filter Request.is_complete reqs in
       let check () =
-        ignore (Ch3.progress p.dev);
-        done_ () <> [] || self_doomed p
+        let moved = Ch3.progress p.dev in
+        quiet p ~moved (done_ () <> [] || self_doomed p)
       in
       if not (check ()) then
         if Fiber.in_scheduler () then
@@ -832,6 +841,25 @@ let quiescence_report w =
 (* Running worlds                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Every world runs on one scheduler path. Cooperatively, the idle hook
+   lets the scheduler fast-forward over the identical passes a polling
+   wait repeats until a message arrives; in parallel, a blocked domain
+   parks instead of polling. *)
+let run_fibers w fibers =
+  match w.parallel with
+  | None ->
+      let env = w.env in
+      Fiber.run
+        ~idle:
+          {
+            Fiber.pass_begin = (fun () -> Simtime.Env.pass_begin env);
+            pass_end =
+              (fun ~preds ~idle -> Simtime.Env.pass_end env ~preds ~idle);
+          }
+        fibers
+  | Some domains ->
+      Fiber.run ~mode:(Fiber.Parallel { domains; place = w.place }) fibers
+
 (* Fail-stop semantics for a rank's fiber: [Ft.Killed] escaping [body]
    tears the rank down — its device is purged (every local request fails,
    hooks abort, queues empty) and the rank transitions to [Torn_down],
@@ -861,8 +889,5 @@ let run ?channel ?cost ?env ?fault ?reliable ?detector ?topology ?parallel ~n
         ( Printf.sprintf "rank%d" i,
           fun () -> rank_guard w i (fun () -> body (proc w i)) ))
   in
-  (match w.parallel with
-  | None -> Fiber.run fibers
-  | Some domains ->
-      Fiber.run ~mode:(Fiber.Parallel { domains; place = w.place }) fibers);
+  run_fibers w fibers;
   w

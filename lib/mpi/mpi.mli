@@ -165,6 +165,14 @@ val run :
     domains ({!Fiber.Parallel}) — see {!create_world} for the
     restrictions. *)
 
+val run_fibers : world -> (string * (unit -> unit)) list -> unit
+(** Run fibers that drive [world] to completion, on the world's execution
+    mode: cooperatively with the idle fast-forward hook
+    ([Simtime.Env.pass_end]), or on real domains when the world was
+    created with [~parallel]. Every library entry point that runs a world
+    — {!run}, [Motor.World.run], the explorer, the harness — goes through
+    here, so they all share one scheduler path. *)
+
 val rank_guard : world -> int -> (unit -> unit) -> unit
 (** [rank_guard w rank body] runs [body], implementing fail-stop
     semantics: if {!Ft.Killed}[ rank] escapes, the rank's device is

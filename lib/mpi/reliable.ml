@@ -31,7 +31,7 @@ type t = {
   rxs : (int * int, rx) Hashtbl.t;
 }
 
-let now t = Simtime.Clock.now_ns t.env.Simtime.Env.clock
+let now t = Simtime.Env.now_ns t.env
 
 let tx_state t ~src ~dst =
   match Hashtbl.find_opt t.txs (src, dst) with

@@ -312,12 +312,17 @@ let scan_blocked sched =
 (* Cooperative (deterministic) main loop                               *)
 (* ------------------------------------------------------------------ *)
 
+type idle = {
+  pass_begin : unit -> unit;
+  pass_end : preds:int -> idle:bool -> unit;
+}
+
 (* Drain the run queue (the policy picks which runnable fiber goes
    next); when empty, re-test blocked predicates. Deadlock is declared
    only when a full scan wakes nobody and no subsystem reported
    activity, so multi-step progress (e.g. one packet per poll) is never
    mistaken for a hang — under any policy. *)
-let run_cooperative ?policy ?record fibers =
+let run_cooperative ?policy ?record ?idle fibers =
   let driver =
     match policy with
     | Some p -> make_driver ?record p
@@ -335,6 +340,25 @@ let run_cooperative ?policy ?record fibers =
   let saved = Domain.DLS.get stack_key in
   Domain.DLS.set stack_key (sched :: saved);
   let finish () = Domain.DLS.set stack_key saved in
+  (* With a hook, each pass is bracketed so the hook can fast-forward
+     over the identical passes that would follow an idle one. Idle
+     passes never consult the scheduling policy, so skipping them
+     leaves recorded decision traces valid. *)
+  let scan ~activity_before =
+    match idle with
+    | None -> scan_blocked sched
+    | Some h -> (
+        let preds = List.length sched.blocked in
+        h.pass_begin ();
+        match scan_blocked sched with
+        | woke ->
+            h.pass_end ~preds
+              ~idle:((not woke) && sched.activity <> activity_before);
+            woke
+        | exception e ->
+            h.pass_end ~preds ~idle:false;
+            raise e)
+  in
   let rec loop () =
     if sched.runn > 0 then begin
       let thunk = take sched (decide driver sched.runn) in
@@ -343,7 +367,7 @@ let run_cooperative ?policy ?record fibers =
     end
     else if sched.blocked <> [] then begin
       let activity_before = sched.activity in
-      if scan_blocked sched then loop ()
+      if scan ~activity_before then loop ()
       else if sched.activity = activity_before then
         raise
           (Deadlock
@@ -536,9 +560,9 @@ let run_parallel ~domains ~place fibers =
   Atomic.set current_prun None;
   match Atomic.get pr.pr_poison with Some e -> raise e | None -> ()
 
-let run ?(mode = Cooperative) ?policy ?record fibers =
+let run ?(mode = Cooperative) ?policy ?record ?idle fibers =
   match mode with
-  | Cooperative -> run_cooperative ?policy ?record fibers
+  | Cooperative -> run_cooperative ?policy ?record ?idle fibers
   | Parallel { domains; place } ->
       if Option.is_some policy then
         invalid_arg

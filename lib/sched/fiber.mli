@@ -88,10 +88,26 @@ type mode =
           [?record] and any recording/non-round-robin ambient driver
           ([Invalid_argument]). *)
 
+type idle = {
+  pass_begin : unit -> unit;
+      (** a pass over the blocked fibers' predicates is about to start *)
+  pass_end : preds:int -> idle:bool -> unit;
+      (** that pass evaluated [preds] predicates; [idle] when it woke
+          nobody but some subsystem reported activity, so the run goes on
+          with another pass over the same fibers. Also called (with
+          [idle = false]) when a predicate raised. *)
+}
+(** An idle hook brackets every scan of the blocked fibers, so the layer
+    that owns virtual time can fast-forward over the identical passes a
+    polling wait would otherwise repeat until a message arrives
+    ([Simtime.Env.pass_end], DESIGN.md §9). The scheduler itself knows
+    nothing of time. *)
+
 val run :
   ?mode:mode ->
   ?policy:policy ->
   ?record:trace ->
+  ?idle:idle ->
   (string * (unit -> unit)) list ->
   unit
 (** [run fibers] executes the labelled fibers until all complete, picking
@@ -101,7 +117,10 @@ val run :
     when given. An exception escaping any fiber aborts the whole run and
     is re-raised. Runs may nest (a fiber may start an inner scheduler);
     a nested run without an explicit [policy] shares the ambient driver,
-    so one trace covers the whole nesting structure.
+    so one trace covers the whole nesting structure. With [idle], every
+    cooperative scan of the blocked fibers is bracketed by the hook;
+    scans never consult the policy, so a hook cannot change a decision
+    trace.
 
     With [~mode:(Parallel _)] the fiber groups execute on real domains
     (DESIGN.md §15). A blocked domain parks on a condition variable;
@@ -111,7 +130,8 @@ val run :
     then the whole run unwinds with {!Deadlock} (policy
     ["parallel(N domains)"]). At most one parallel run may be active per
     process. An exception escaping any fiber aborts every domain and is
-    re-raised on the calling domain. *)
+    re-raised on the calling domain. The [idle] hook is not used in
+    parallel mode: a parked domain sleeps instead of polling. *)
 
 val parallel_active : unit -> bool
 (** True while a [Parallel] run is executing (on any domain). The

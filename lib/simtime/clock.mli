@@ -19,7 +19,8 @@ val now_us : t -> float
 
 val advance : t -> float -> unit
 (** [advance clock ns] moves the clock forward by [ns] nanoseconds. Negative
-    charges are rejected with [Invalid_argument]. *)
+    and non-finite (NaN, infinite) charges are rejected with
+    [Invalid_argument]; a non-finite one names its value. *)
 
 val reset : t -> unit
 (** Rewind to time zero. *)

@@ -33,13 +33,17 @@ let fresh_hist () =
     h_buckets = Array.make n_buckets 0;
   }
 
+(* [writes] counts every [add] and [observe]: a cheap stamp that lets
+   the idle fast-forward (Env) prove that one scheduler pass touched no
+   counter or histogram besides the ones it recorded. *)
 type t = {
   counters : (string, int ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
+  mutable writes : int;
 }
 
 let create () : t =
-  { counters = Hashtbl.create 64; hists = Hashtbl.create 16 }
+  { counters = Hashtbl.create 64; hists = Hashtbl.create 16; writes = 0 }
 
 let cell t key =
   match Hashtbl.find_opt t.counters key with
@@ -51,6 +55,7 @@ let cell t key =
 
 let add t key n =
   if n < 0 then invalid_arg "Stats.add: negative amount";
+  t.writes <- t.writes + 1;
   let r = cell t key in
   r := !r + n
 
@@ -67,8 +72,13 @@ let hist_cell t key =
       Hashtbl.add t.hists key h;
       h
 
+let writes t = t.writes
+
 let observe t key v =
-  if v < 0.0 then invalid_arg "Stats.observe: negative value";
+  if not (v >= 0.0 && v < Float.infinity) then
+    if v < 0.0 then invalid_arg "Stats.observe: negative value"
+    else invalid_arg (Printf.sprintf "Stats.observe: non-finite value %g" v);
+  t.writes <- t.writes + 1;
   let h = hist_cell t key in
   h.h_n <- h.h_n + 1;
   h.h_sum <- h.h_sum +. v;

@@ -22,7 +22,14 @@ val get : t -> string -> int
 
 val observe : t -> string -> float -> unit
 (** Record a non-negative sample (virtual nanoseconds by convention) into
-    the named histogram, creating it if absent. *)
+    the named histogram, creating it if absent. Negative and non-finite
+    (NaN, infinite) samples are rejected with [Invalid_argument]; a
+    non-finite one names its value. *)
+
+val writes : t -> int
+(** How many {!add}s (including {!incr}s) and {!observe}s this accumulator
+    has taken: a stamp whose difference over a scope says whether
+    anything was recorded in it. *)
 
 val reset : t -> unit
 (** Zero every counter and drop every histogram. *)

@@ -397,8 +397,8 @@ let request_gc ?(full = false) t =
 let gc_pending t = t.pending <> No_gc
 
 let poll t =
-  Simtime.Env.charge t.env t.env.Simtime.Env.cost.gc_safepoint_poll_ns;
-  Simtime.Env.count t.env Key.safepoint_polls;
+  Simtime.Env.charge_poll t.env t.env.Simtime.Env.cost.gc_safepoint_poll_ns;
+  Simtime.Env.count_poll t.env Key.safepoint_polls;
   match t.pending with
   | No_gc -> ()
   | Minor_gc ->

@@ -1,5 +1,8 @@
 (* Unit tests for the cooperative fiber scheduler. *)
 
+module Mpi = Mpi_core.Mpi
+module Bv = Mpi_core.Buffer_view
+
 let test_run_to_completion () =
   let log = ref [] in
   Fiber.run
@@ -266,6 +269,133 @@ let test_two_step_progress_under_random () =
         true !done_)
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
+(* ------------------------------------------------------------------ *)
+(* Idle hook                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let recording_hook () =
+  let opened = ref 0 and closed = ref [] in
+  ( {
+      Fiber.pass_begin = (fun () -> incr opened);
+      pass_end = (fun ~preds ~idle -> closed := (preds, idle) :: !closed);
+    },
+    opened,
+    closed )
+
+let test_idle_hook_brackets_scans () =
+  let idle, opened, closed = recording_hook () in
+  let polls = ref 0 in
+  Fiber.run ~idle
+    [
+      ( "waiter",
+        fun () ->
+          Fiber.wait_until (fun () ->
+              incr polls;
+              Fiber.note_activity ();
+              !polls >= 3) );
+      ("bystander", fun () -> Fiber.wait_until (fun () -> !polls >= 3));
+    ];
+  (* The first evaluations happen at the waits themselves, outside any
+     scan; the scans then find nobody ready, then both ready. *)
+  Alcotest.(check int) "every scan opened" 2 !opened;
+  Alcotest.(check (list (pair int bool)))
+    "closed with predicate count and idleness"
+    [ (2, true); (2, false) ]
+    (List.rev !closed)
+
+let test_idle_hook_closes_on_raise () =
+  let idle, opened, closed = recording_hook () in
+  let armed = ref false in
+  Alcotest.check_raises "predicate exception escapes" (Failure "boom")
+    (fun () ->
+      Fiber.run ~idle
+        [
+          ( "w",
+            fun () ->
+              Fiber.wait_until (fun () ->
+                  if !armed then failwith "boom";
+                  armed := true;
+                  false) );
+        ]);
+  Alcotest.(check int) "one scan" 1 !opened;
+  Alcotest.(check (list (pair int bool))) "closed, not idle" [ (1, false) ]
+    !closed;
+  let idle, _, closed = recording_hook () in
+  (match
+     Fiber.run ~idle
+       [ ("stuck", fun () -> Fiber.wait_until (fun () -> false)) ]
+   with
+  | () -> Alcotest.fail "expected a deadlock"
+  | exception Fiber.Deadlock _ -> ());
+  Alcotest.(check (list (pair int bool))) "deadlock scan not idle"
+    [ (1, false) ] !closed
+
+(* A bystander fiber waits on [pred] while rank 1 of a 2-rank world sits
+   in a polling wait for a rendezvous message in flight. Returns the
+   final clock's bits, how often the bystander's predicate ran, and how
+   many passes the hook fast-forwarded. *)
+let with_bystander ~hooked pred =
+  let env = Simtime.Env.create () in
+  let w = Mpi.create_world ~env ~n:2 () in
+  let comm = Mpi.comm_world w in
+  let size = 262_144 in
+  let got = ref false and evals = ref 0 in
+  let rank r () =
+    let p = Mpi.proc w r in
+    if r = 0 then
+      Mpi.send p ~comm ~dst:1 ~tag:0 (Bv.of_bytes (Bytes.make size 'x'))
+    else begin
+      ignore
+        (Mpi.recv p ~comm ~src:0 ~tag:0 (Bv.of_bytes (Bytes.create size)));
+      got := true
+    end
+  in
+  let fibers =
+    [
+      ("rank0", rank 0);
+      ("rank1", rank 1);
+      ( "bystander",
+        fun () ->
+          Fiber.wait_until (fun () ->
+              incr evals;
+              pred env;
+              !got) );
+    ]
+  in
+  if hooked then Mpi.run_fibers w fibers else Fiber.run fibers;
+  ( Int64.bits_of_float (Simtime.Env.now_ns env),
+    !evals,
+    Simtime.Env.skipped_passes env )
+
+let test_idle_vouching_bystander_skipped () =
+  let vouch env = Simtime.Env.vouch env in
+  let clock, evals, _ = with_bystander ~hooked:false vouch in
+  let clock', evals', skipped = with_bystander ~hooked:true vouch in
+  Alcotest.(check int64) "same clock" clock clock';
+  Alcotest.(check bool) "passes skipped" true (skipped > 0);
+  Alcotest.(check int) "every evaluation ran or was skipped" evals
+    (evals' + skipped)
+
+let test_idle_never_skipped () =
+  List.iter
+    (fun (what, pred) ->
+      let clock, evals, _ = with_bystander ~hooked:false pred in
+      let clock', evals', skipped = with_bystander ~hooked:true pred in
+      Alcotest.(check int64) (what ^ ": same clock") clock clock';
+      Alcotest.(check int) (what ^ ": evaluated as often") evals evals';
+      Alcotest.(check int) (what ^ ": nothing skipped") 0 skipped)
+    [
+      ( "clock read",
+        fun env ->
+          ignore (Simtime.Env.now_ns env);
+          Simtime.Env.vouch env );
+      ("no vouch", fun _ -> ());
+      ( "plain charge",
+        fun env ->
+          Simtime.Env.charge env 1.0;
+          Simtime.Env.vouch env );
+    ]
+
 let prop_many_fibers_all_run =
   QCheck.Test.make ~name:"n fibers all complete" ~count:50
     QCheck.(int_range 1 64)
@@ -321,6 +451,17 @@ let () =
             test_deadlock_reports_seed;
           Alcotest.test_case "two-step progress under random" `Quick
             test_two_step_progress_under_random;
+        ] );
+      ( "idle hook",
+        [
+          Alcotest.test_case "brackets every scan" `Quick
+            test_idle_hook_brackets_scans;
+          Alcotest.test_case "closes on raise and deadlock" `Quick
+            test_idle_hook_closes_on_raise;
+          Alcotest.test_case "vouching bystander skipped" `Quick
+            test_idle_vouching_bystander_skipped;
+          Alcotest.test_case "spoiled passes never skipped" `Quick
+            test_idle_never_skipped;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_many_fibers_all_run ]);
     ]

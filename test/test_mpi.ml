@@ -784,6 +784,162 @@ let test_request_sets () =
            Alcotest.(check bytes) "tag 1 payload" (payload 16) b1
          end))
 
+(* ------------------------------------------------------------------ *)
+(* Idle fast-forward: same results with and without the hook           *)
+(* ------------------------------------------------------------------ *)
+
+module Env = Simtime.Env
+module Stats = Simtime.Stats
+module Trace = Mpi_core.Trace
+module Fault = Mpi_core.Fault
+module Reliable = Mpi_core.Reliable
+module Ft = Mpi_core.Ft
+
+(* Everything virtual time reaches, as text; floats in hex, so equal
+   means bit for bit. *)
+let fingerprint env trace =
+  let s = env.Env.stats in
+  let hist (k, (h : Stats.summary)) =
+    Printf.sprintf "hist %s n=%d sum=%h min=%h max=%h p50=%h p99=%h" k h.n
+      h.sum h.min h.max h.p50 h.p99
+  in
+  let event (e : Trace.event) =
+    Printf.sprintf "event %h r%d %s/%s %s [%s] %s" e.Trace.t_us e.rank e.cat
+      e.op e.detail
+      (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) e.args))
+      (match e.span_id with Some i -> string_of_int i | None -> "-")
+  in
+  (Printf.sprintf "clock %h" (Env.now_ns env)
+  :: List.map (fun (k, v) -> Printf.sprintf "counter %s=%d" k v)
+       (Stats.to_alist s))
+  @ List.map hist (Stats.hists_alist s)
+  @ match trace with Some t -> List.map event (Trace.events t) | None -> []
+
+(* Build the world twice, run [body] on every rank once through
+   [Mpi.run_fibers] (with the idle hook) and once through a hookless
+   [Fiber.run], and require identical fingerprints. Returns how many
+   passes the hook skipped. *)
+let same_with_and_without_hook ?(traced = false) ~n make body =
+  let once hooked =
+    let env = Env.create () in
+    let trace = if traced then Some (Trace.enable env) else None in
+    let w = make env in
+    let fibers =
+      List.init n (fun r ->
+          ( Printf.sprintf "rank%d" r,
+            fun () -> Mpi.rank_guard w r (fun () -> body (Mpi.proc w r)) ))
+    in
+    if hooked then Mpi.run_fibers w fibers else Fiber.run fibers;
+    let fp = fingerprint env trace in
+    if traced then Trace.disable env;
+    (fp, Env.skipped_passes env)
+  in
+  let plain, _ = once false in
+  let hooked, skipped = once true in
+  Alcotest.(check (list string)) "identical run" plain hooked;
+  skipped
+
+let ladder p =
+  let comm = Mpi.comm_world (Mpi.world_of p) in
+  List.iter
+    (fun size ->
+      let out = Bv.of_bytes (payload size) in
+      let back = Bv.of_bytes (Bytes.create size) in
+      if Mpi.rank p = 0 then begin
+        Mpi.send p ~comm ~dst:1 ~tag:size out;
+        ignore (Mpi.recv p ~comm ~src:1 ~tag:size back)
+      end
+      else begin
+        ignore (Mpi.recv p ~comm ~src:0 ~tag:size back);
+        Mpi.send p ~comm ~dst:0 ~tag:size out
+      end)
+    [ 8; 64; 512; 4096; 32_768; 262_144 ]
+
+let test_idle_ladder_channels () =
+  List.iter
+    (fun channel ->
+      let skipped =
+        same_with_and_without_hook ~n:2
+          (fun env -> Mpi.create_world ~channel ~env ~n:2 ())
+          ladder
+      in
+      Alcotest.(check bool) "idle passes skipped" true (skipped > 0))
+    [ `Sock; `Shm; `Rdma ]
+
+let test_idle_allreduce () =
+  let skipped =
+    same_with_and_without_hook ~n:4
+       (fun env -> Mpi.create_world ~env ~n:4 ())
+       (fun p ->
+         let comm = Mpi.comm_world (Mpi.world_of p) in
+         let b = Bytes.create 8192 in
+         for i = 0 to 1023 do
+           Bytes.set_int64_le b (8 * i)
+             (Int64.bits_of_float (float_of_int (Mpi.rank p + i)))
+         done;
+         ignore (Coll.allreduce p comm ~op:Coll.sum_f64 b))
+  in
+  Alcotest.(check bool) "idle passes skipped" true (skipped > 0)
+
+let ring p =
+  let comm = Mpi.comm_world (Mpi.world_of p) in
+  let n = Comm.size comm and r = Mpi.rank p in
+  for round = 0 to 5 do
+    ignore
+      (Mpi.sendrecv p ~comm
+         ~dst:((r + 1) mod n)
+         ~send_tag:round
+         ~send:(Bv.of_bytes (payload (512 + round)))
+         ~src:((r + n - 1) mod n)
+         ~recv_tag:round
+         ~recv:(Bv.of_bytes (Bytes.create (512 + round))))
+  done
+
+let test_idle_lossy_ring () =
+  ignore
+    (same_with_and_without_hook ~n:3
+       (fun env ->
+         Mpi.create_world ~env
+           ~fault:
+             (Fault.plan ~seed:7 ~drop:0.1 ~duplicate:0.05 ~delay:0.1
+                ~delay_ns:50_000.0 ())
+           ~n:3 ())
+       ring)
+
+let test_idle_reliable () =
+  ignore
+    (same_with_and_without_hook ~n:2
+       (fun env ->
+         Mpi.create_world ~env ~reliable:Reliable.default_config ~n:2 ())
+       ladder)
+
+let test_idle_kill () =
+  let detector = { Ft.hb_period_ns = 5_000.0; hb_timeout_ns = 200_000.0 } in
+  ignore
+    (same_with_and_without_hook ~n:2
+       (fun env ->
+         Mpi.create_world ~env ~detector
+           ~fault:
+             (Fault.plan
+                ~kills:[ Fault.kill ~rank:1 ~at_ns:30_000.0 () ]
+                ())
+           ~n:2 ())
+       (fun p ->
+         let comm = Mpi.comm_world (Mpi.world_of p) in
+         let buf = Bv.of_bytes (Bytes.create 8) in
+         if Mpi.rank p = 0 then
+           try ignore (Mpi.recv p ~comm ~src:1 ~tag:0 buf)
+           with Ft.Proc_failed _ -> ()
+         else ignore (Mpi.recv p ~comm ~src:0 ~tag:0 buf)))
+
+let test_idle_traced () =
+  let skipped =
+    same_with_and_without_hook ~traced:true ~n:2
+      (fun env -> Mpi.create_world ~env ~n:2 ())
+      ladder
+  in
+  Alcotest.(check bool) "idle passes skipped while tracing" true (skipped > 0)
+
 let () =
   Alcotest.run "mpi_core"
     [
@@ -852,6 +1008,17 @@ let () =
           Alcotest.test_case "spawn and intercomm" `Quick
             test_spawn_and_intercomm;
           Alcotest.test_case "spawn then merge" `Quick test_spawn_merge;
+        ] );
+      ( "idle fast-forward",
+        [
+          Alcotest.test_case "ladder on sock, shm, rdma" `Quick
+            test_idle_ladder_channels;
+          Alcotest.test_case "schedule-engine allreduce" `Quick
+            test_idle_allreduce;
+          Alcotest.test_case "loss-injected ring" `Quick test_idle_lossy_ring;
+          Alcotest.test_case "reliable layer" `Quick test_idle_reliable;
+          Alcotest.test_case "kill with detector" `Quick test_idle_kill;
+          Alcotest.test_case "traced run" `Quick test_idle_traced;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_traffic ]);
     ]

@@ -20,6 +20,17 @@ let test_clock_negative () =
     (Invalid_argument "Clock.advance: negative charge") (fun () ->
       Clock.advance c (-1.0))
 
+let test_clock_non_finite () =
+  let c = Clock.create () in
+  Clock.advance c 10.0;
+  Alcotest.check_raises "NaN charge rejected"
+    (Invalid_argument "Clock.advance: non-finite charge nan") (fun () ->
+      Clock.advance c Float.nan);
+  Alcotest.check_raises "infinite charge rejected"
+    (Invalid_argument "Clock.advance: non-finite charge inf") (fun () ->
+      Clock.advance c Float.infinity);
+  Alcotest.(check (float 0.0)) "clock untouched" 10.0 (Clock.now_ns c)
+
 let test_clock_elapsed () =
   let c = Clock.create () in
   Clock.advance c 100.0;
@@ -119,6 +130,16 @@ let test_hist_negative () =
     (Invalid_argument "Stats.observe: negative value") (fun () ->
       Stats.observe s "lat" (-1.0))
 
+let test_hist_non_finite () =
+  let s = Stats.create () in
+  Alcotest.check_raises "NaN observe rejected"
+    (Invalid_argument "Stats.observe: non-finite value nan") (fun () ->
+      Stats.observe s "lat" Float.nan);
+  Alcotest.check_raises "infinite observe rejected"
+    (Invalid_argument "Stats.observe: non-finite value inf") (fun () ->
+      Stats.observe s "lat" Float.infinity);
+  Alcotest.(check bool) "histogram untouched" true (Stats.hist s "lat" = None)
+
 let test_hist_reset () =
   let s = Stats.create () in
   Stats.observe s "lat" 5.0;
@@ -148,6 +169,73 @@ let test_env_charges () =
   Env.charge_per_byte env 2.0 500;
   Alcotest.(check (float 1e-9)) "total" 2.0 (Env.now_us env)
 
+(* One idle polling evaluation, as a blocked wait does it: a safepoint
+   poll, a progress poll, a look at a message due at [due], and a vouch
+   when it has not arrived. [extra] runs inside, to spoil the pass. *)
+let idle_eval ?(extra = fun _ -> ()) env ~due =
+  Env.charge_poll env 18.0;
+  Env.count_poll env "polls";
+  Env.charge_poll env 150.3;
+  extra env;
+  let here = Env.arrived env due in
+  if not here then Env.vouch env;
+  here
+
+(* Passes of [width] evaluations each until the message is there,
+   bracketed as scheduler passes when [hooked]; returns the passes
+   actually run. *)
+let poll_until ?extra ?(width = 1) ~hooked env ~due =
+  let passes = ref 0 in
+  let rec go () =
+    if hooked then Env.pass_begin env;
+    incr passes;
+    let here = ref false in
+    for _ = 1 to width do
+      if idle_eval ?extra env ~due then here := true
+    done;
+    if hooked then Env.pass_end env ~preds:width ~idle:(not !here);
+    if not !here then go ()
+  in
+  go ();
+  !passes
+
+let test_env_fast_forward_exact () =
+  let due = 1_000_000.7 in
+  (* Wide passes: more poll charges than the journal starts with. *)
+  let width = 12 in
+  let plain = Env.create () in
+  let plain_passes = poll_until ~width ~hooked:false plain ~due in
+  let hooked = Env.create () in
+  let real_passes = poll_until ~width ~hooked:true hooked ~due in
+  Alcotest.(check int64) "same clock, bit for bit"
+    (Int64.bits_of_float (Env.now_ns plain))
+    (Int64.bits_of_float (Env.now_ns hooked));
+  Alcotest.(check int) "same poll count"
+    (Stats.get plain.Env.stats "polls")
+    (Stats.get hooked.Env.stats "polls");
+  Alcotest.(check int) "every pass run or skipped" plain_passes
+    (real_passes + Env.skipped_passes hooked);
+  Alcotest.(check bool) "almost all skipped" true (real_passes <= 3)
+
+let test_env_fast_forward_guards () =
+  let due = 200_000.0 in
+  List.iter
+    (fun (what, extra) ->
+      let plain_passes =
+        poll_until ~extra ~hooked:false (Env.create ()) ~due
+      in
+      let env = Env.create () in
+      let passes = poll_until ~extra ~hooked:true env ~due in
+      Alcotest.(check int) (what ^ ": every pass ran") plain_passes passes;
+      Alcotest.(check int) (what ^ ": nothing skipped") 0
+        (Env.skipped_passes env))
+    [
+      ("clock read", fun env -> ignore (Env.now_ns env));
+      ("plain charge", fun env -> Env.charge env 1.0);
+      ("histogram sample", fun env -> Env.observe env "lat" 1.0);
+      ("unrecorded counter", fun env -> Env.count env "other");
+    ]
+
 let prop_clock_monotone =
   QCheck.Test.make ~name:"clock is monotone under non-negative charges"
     ~count:200
@@ -176,6 +264,8 @@ let () =
         [
           Alcotest.test_case "advance and reset" `Quick test_clock_advance;
           Alcotest.test_case "negative rejected" `Quick test_clock_negative;
+          Alcotest.test_case "non-finite rejected" `Quick
+            test_clock_non_finite;
           Alcotest.test_case "elapsed" `Quick test_clock_elapsed;
         ] );
       ( "cost",
@@ -200,6 +290,8 @@ let () =
             test_hist_observe;
           Alcotest.test_case "histogram rejects negatives" `Quick
             test_hist_negative;
+          Alcotest.test_case "histogram rejects non-finite" `Quick
+            test_hist_non_finite;
           Alcotest.test_case "reset drops histograms" `Quick test_hist_reset;
         ] );
       ( "env",
@@ -208,6 +300,10 @@ let () =
             test_env_charges;
           Alcotest.test_case "with_span ~key observes the charge" `Quick
             test_with_span_key;
+          Alcotest.test_case "idle fast-forward is exact" `Quick
+            test_env_fast_forward_exact;
+          Alcotest.test_case "idle fast-forward guards" `Quick
+            test_env_fast_forward_guards;
         ] );
       ( "properties",
         [
