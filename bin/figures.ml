@@ -492,15 +492,8 @@ let run_rma ~quick ~out =
   Format.printf "csv written to %s@." out;
   if bad <> [] || hits = 0 then Stdlib.exit 1
 
-let ensure_dir path =
-  if path <> "" && path <> "." && not (Sys.file_exists path) then
-    Sys.mkdir path 0o755
-
 let write_file path contents =
-  ensure_dir (Filename.dirname path);
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
 (* Kill sweep: the rank-death workloads (lib/check) under many fault
    seeds — each seed picks a victim and a kill time, each run goes
@@ -703,9 +696,7 @@ let run_report ~quick ~path =
   out "| build | us/iter |\n|---|---|\n";
   List.iter (fun (name, us) -> out "| %s | %.1f |\n" name us)
     (Experiments.tabb ());
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  write_file path (Buffer.contents buf);
   Format.printf "report written to %s@." path
 
 let run_speedup ~quick ~out =
@@ -774,13 +765,35 @@ let csv =
 
 let cmd_of name doc f = Cmd.v (Cmd.info name ~doc) f
 
+(* Check every output path before any work starts: a bad path is a usage
+   error (exit 2) naming the path, not an uncaught Sys_error at the end of
+   a long sweep. *)
+let with_outputs paths run =
+  List.iter
+    (fun path ->
+      match Table.check_writable path with
+      | Ok () -> ()
+      | Error msg ->
+          Printf.eprintf "figures: %s\n" msg;
+          exit 2)
+    paths;
+  run ()
+
 let fig9_cmd =
   cmd_of "fig9" "Regenerate Figure 9."
-    Term.(const (fun quick csv -> ignore (run_fig9 ~quick ~csv)) $ quick $ csv)
+    Term.(
+      const (fun quick csv ->
+          with_outputs (Option.to_list csv) (fun () ->
+              ignore (run_fig9 ~quick ~csv)))
+      $ quick $ csv)
 
 let fig10_cmd =
   cmd_of "fig10" "Regenerate Figure 10."
-    Term.(const (fun quick csv -> ignore (run_fig10 ~quick ~csv)) $ quick $ csv)
+    Term.(
+      const (fun quick csv ->
+          with_outputs (Option.to_list csv) (fun () ->
+              ignore (run_fig10 ~quick ~csv)))
+      $ quick $ csv)
 
 let taba_cmd =
   cmd_of "taba" "Motor-vs-Indiana percentages (in-text claims)."
@@ -798,7 +811,10 @@ let faults_cmd =
   cmd_of "faults"
     "Loss sweep: the ring workload under injected faults; exit 1 if any \
      run's digest differs from the loss-free one."
-    Term.(const (fun quick csv -> run_faults ~quick ~csv) $ quick $ csv)
+    Term.(
+      const (fun quick csv ->
+          with_outputs (Option.to_list csv) (fun () -> run_faults ~quick ~csv))
+      $ quick $ csv)
 
 let profile_cmd =
   let out =
@@ -818,7 +834,9 @@ let profile_cmd =
   cmd_of "profile"
     "Run an instrumented workload and dump histograms + Chrome trace."
     Term.(
-      const (fun quick out trace_out -> run_profile ~quick ~out ~trace_out)
+      const (fun quick out trace_out ->
+          with_outputs [ out; trace_out ] (fun () ->
+              run_profile ~quick ~out ~trace_out))
       $ quick $ out $ trace_out)
 
 let killsweep_cmd =
@@ -839,14 +857,18 @@ let killsweep_cmd =
     "Rank-death sweep: the ULFM recovery loop under seeded kills, judged \
      by survivor convergence."
     Term.(
-      const (fun quick seeds out -> run_killsweep ~quick ~seeds ~out)
+      const (fun quick seeds out ->
+          with_outputs [ out ] (fun () -> run_killsweep ~quick ~seeds ~out))
       $ quick $ seeds $ out)
 
 let coll_cmd =
   cmd_of "coll"
     "Collective algorithm sweep: latency vs ranks x payload; exit 1 if the \
      allreduce policy picks the slower algorithm."
-    Term.(const (fun quick csv -> run_coll ~quick ~csv) $ quick $ csv)
+    Term.(
+      const (fun quick csv ->
+          with_outputs (Option.to_list csv) (fun () -> run_coll ~quick ~csv))
+      $ quick $ csv)
 
 let scale_cmd =
   let out =
@@ -858,7 +880,10 @@ let scale_cmd =
   cmd_of "scale"
     "Scale sweep: the two-level allreduce at 1k-64k simulated ranks, \
      checked against the analytic round/message model; exit 1 on mismatch."
-    Term.(const (fun quick out -> run_scale ~quick ~out) $ quick $ out)
+    Term.(
+      const (fun quick out ->
+          with_outputs [ out ] (fun () -> run_scale ~quick ~out))
+      $ quick $ out)
 
 let rma_cmd =
   let out =
@@ -871,7 +896,9 @@ let rma_cmd =
     "One-sided RMA sweep: put size x registration-cache capacity on the \
      rdma channel, each row checked against the transfer-path accounting; \
      exit 1 on mismatch."
-    Term.(const (fun quick out -> run_rma ~quick ~out) $ quick $ out)
+    Term.(
+      const (fun quick out -> with_outputs [ out ] (fun () -> run_rma ~quick ~out))
+      $ quick $ out)
 
 let speedup_cmd =
   let out =
@@ -884,12 +911,18 @@ let speedup_cmd =
     "Wall-clock speedup sweep: the ring and allreduce workloads on 1/2/4 \
      real domains (the only real-clock experiment; everything else is \
      virtual time)."
-    Term.(const (fun quick out -> run_speedup ~quick ~out) $ quick $ out)
+    Term.(
+      const (fun quick out ->
+          with_outputs [ out ] (fun () -> run_speedup ~quick ~out))
+      $ quick $ out)
 
 let overlap_cmd =
   cmd_of "overlap"
     "Overlap sweep: nonblocking collectives vs the blocking baseline."
-    Term.(const (fun quick csv -> run_overlap ~quick ~csv) $ quick $ csv)
+    Term.(
+      const (fun quick csv ->
+          with_outputs (Option.to_list csv) (fun () -> run_overlap ~quick ~csv))
+      $ quick $ csv)
 
 let check_cmd =
   Cmd.v (Cmd.info "check" ~doc:"Run all shape checks; exit 1 on failure.")
@@ -903,18 +936,22 @@ let report_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Where to write the report.")
   in
   cmd_of "report" "Write a markdown report of every measured result."
-    Term.(const (fun quick path -> run_report ~quick ~path) $ quick $ path)
+    Term.(
+      const (fun quick path ->
+          with_outputs [ path ] (fun () -> run_report ~quick ~path))
+      $ quick $ path)
 
 let all_cmd =
   cmd_of "all" "Everything: figures, tables, ablations."
     Term.(
       const (fun quick csv ->
-          ignore (run_fig9 ~quick ~csv);
-          ignore (run_fig10 ~quick ~csv:None);
-          run_taba ~quick;
-          run_tabb ();
-          run_ablations ~quick;
-          run_faults ~quick ~csv:None)
+          with_outputs (Option.to_list csv) (fun () ->
+              ignore (run_fig9 ~quick ~csv);
+              ignore (run_fig10 ~quick ~csv:None);
+              run_taba ~quick;
+              run_tabb ();
+              run_ablations ~quick;
+              run_faults ~quick ~csv:None))
       $ quick $ csv)
 
 let () =

@@ -91,44 +91,34 @@ let elem_code = function
 (* Visited structures                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Both strategies share one host table from an address to its object id
+   and insertion index; the strategy only picks the probes a lookup is
+   charged. [Linear] charges what the paper's prepended list would walk:
+   the entry inserted at index [pos] of [n] sits [n - pos] cells from the
+   head, and a miss walks all [n] (at least one probe). Addresses are
+   stable for the whole pass and only inserted after a miss, so the table
+   never holds duplicates and its length is the list's. *)
 type visited = {
-  lookup : Heap.addr -> int option;
-  insert : Heap.addr -> int -> unit;
+  strategy : visited_strategy;
+  table : (Heap.addr, int * int) Hashtbl.t;
 }
 
-let make_visited env strategy =
-  let charge_probes n =
-    Env.charge env (env.Env.cost.visited_probe_ns *. float_of_int n);
-    Env.count_n env Key.visited_probes n
+let make_visited strategy = { strategy; table = Hashtbl.create 64 }
+
+let visited_lookup env v addr =
+  let found = Hashtbl.find_opt v.table addr in
+  let probes =
+    match (v.strategy, found) with
+    | Hashed, _ -> 1
+    | Linear, Some (_, pos) -> Hashtbl.length v.table - pos
+    | Linear, None -> max 1 (Hashtbl.length v.table)
   in
-  match strategy with
-  | Linear ->
-      (* The paper's linear structure: every lookup walks the list. *)
-      let entries : (Heap.addr * int) list ref = ref [] in
-      {
-        lookup =
-          (fun a ->
-            let probes = ref 0 in
-            let rec go = function
-              | [] -> None
-              | (addr, id) :: rest ->
-                  incr probes;
-                  if addr = a then Some id else go rest
-            in
-            let result = go !entries in
-            charge_probes (max 1 !probes);
-            result);
-        insert = (fun a id -> entries := (a, id) :: !entries);
-      }
-  | Hashed ->
-      let table : (Heap.addr, int) Hashtbl.t = Hashtbl.create 64 in
-      {
-        lookup =
-          (fun a ->
-            charge_probes 1;
-            Hashtbl.find_opt table a);
-        insert = (fun a id -> Hashtbl.replace table a id);
-      }
+  Env.charge env (env.Env.cost.visited_probe_ns *. float_of_int probes);
+  Env.count_n env Key.visited_probes probes;
+  Option.map fst found
+
+let visited_insert v addr id =
+  Hashtbl.add v.table addr (id, Hashtbl.length v.table)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
@@ -145,7 +135,7 @@ let serialize_pass gc ~visited root =
   let env = Vm.Heap.env (Gc.heap gc) in
   let cost = env.Env.cost in
   let heap = Gc.heap gc in
-  let v = make_visited env visited in
+  let v = make_visited visited in
   let types = Buffer.create 256 in
   let objects = Buffer.create 1024 in
   let type_index : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -182,12 +172,12 @@ let serialize_pass gc ~visited root =
   let id_of addr =
     if addr = Heap.null then 0
     else
-      match v.lookup addr with
+      match visited_lookup env v addr with
       | Some id -> id
       | None ->
           incr n_objects;
           let id = !n_objects in
-          v.insert addr id;
+          visited_insert v addr id;
           Queue.push addr queue;
           id
   in
@@ -422,122 +412,134 @@ let deserialize_pass gc data =
   let handles = Array.make (n_objects + 1) None in
   let payload_pos = Array.make (n_objects + 1) 0 in
   let type_of = Array.make (n_objects + 1) (-1) in
-  for id = 1 to n_objects do
-    Env.charge env cost.deser_per_obj_ns;
-    Env.count env Key.deser_objects;
-    let ti = r_u32 r in
-    if ti < 0 || ti >= Array.length types then err "bad type index %d" ti;
-    type_of.(id) <- ti;
-    payload_pos.(id) <- r.pos;
-    match types.(ti) with
-    | R_class mt ->
-        handles.(id) <- Some (Om.alloc_instance gc mt);
-        (* Skip the payload: prim fields inline, refs as u32 ids. *)
-        Array.iter
-          (fun (fd : Classes.field_desc) ->
-            match fd.Classes.f_type with
-            | Types.Prim p -> r_skip r (Types.prim_size p)
-            | Types.Ref _ -> r_skip r 4)
-          mt.Classes.c_fields
-    | R_array elem ->
-        let len = r_u32 r in
-        if len < 0 then err "negative array length %d" len;
-        let esz =
+  (* The handles are GC roots: a decode that fails part-way must free
+     every one it made, or those objects stay live forever. *)
+  let decode () =
+    for id = 1 to n_objects do
+      Env.charge env cost.deser_per_obj_ns;
+      Env.count env Key.deser_objects;
+      let ti = r_u32 r in
+      if ti < 0 || ti >= Array.length types then err "bad type index %d" ti;
+      type_of.(id) <- ti;
+      payload_pos.(id) <- r.pos;
+      match types.(ti) with
+      | R_class mt ->
+          handles.(id) <- Some (Om.alloc_instance gc mt);
+          (* Skip the payload: prim fields inline, refs as u32 ids. *)
+          Array.iter
+            (fun (fd : Classes.field_desc) ->
+              match fd.Classes.f_type with
+              | Types.Prim p -> r_skip r (Types.prim_size p)
+              | Types.Ref _ -> r_skip r 4)
+            mt.Classes.c_fields
+      | R_array elem ->
+          let len = r_u32 r in
+          if len < 0 then err "negative array length %d" len;
+          let esz =
+            match elem with
+            | Types.Eprim p -> Types.prim_size p
+            | Types.Eref _ -> 4
+          in
+          (* Validate the payload bounds before allocating managed memory,
+             so corrupt lengths cannot balloon the heap. *)
+          r_skip r (len * esz);
+          handles.(id) <- Some (Om.alloc_array gc elem len)
+      | R_md (elem, rank) ->
+          let dims = Array.init rank (fun _ -> r_u32 r) in
+          Array.iter
+            (fun d -> if d < 0 then err "negative array dimension %d" d)
+            dims;
+          let n = Array.fold_left ( * ) 1 dims in
+          let esz =
+            match elem with
+            | Types.Eprim p -> Types.prim_size p
+            | Types.Eref _ -> 4
+          in
+          r_skip r (n * esz);
+          handles.(id) <- Some (Om.alloc_md_array gc elem dims)
+    done;
+    let root_id = r_u32 r in
+    let handle_of id =
+      if id = 0 then None
+      else if id < 0 || id > n_objects then err "object id %d out of range" id
+      else
+        match handles.(id) with
+        | Some h -> Some h
+        | None -> err "dangling object id %d" id
+    in
+    (* Pass 2: fill payloads and patch references. *)
+    for id = 1 to n_objects do
+      let o = match handles.(id) with Some h -> h | None -> assert false in
+      let rr = { data; pos = payload_pos.(id) } in
+      match types.(type_of.(id)) with
+      | R_class mt ->
+          Array.iter
+            (fun (fd : Classes.field_desc) ->
+              Env.charge env cost.ser_per_field_ns;
+              match fd.Classes.f_type with
+              | Types.Prim p ->
+                  let size = Types.prim_size p in
+                  let addr = Om.addr_of gc o in
+                  Heap.blit_in (Gc.heap gc) ~src:rr.data ~src_off:rr.pos
+                    ~dst:(Heap.data_of addr + fd.Classes.f_offset)
+                    ~len:size;
+                  Env.charge_per_byte env cost.deser_ns_per_byte size;
+                  rr.pos <- rr.pos + size
+              | Types.Ref _ ->
+                  let target = r_u32 rr in
+                  Om.set_ref gc o fd (handle_of target))
+            mt.Classes.c_fields
+      | R_array elem -> (
+          let len = r_u32 rr in
           match elem with
-          | Types.Eprim p -> Types.prim_size p
-          | Types.Eref _ -> 4
-        in
-        (* Validate the payload bounds before allocating managed memory,
-           so corrupt lengths cannot balloon the heap. *)
-        r_skip r (len * esz);
-        handles.(id) <- Some (Om.alloc_array gc elem len)
-    | R_md (elem, rank) ->
-        let dims = Array.init rank (fun _ -> r_u32 r) in
-        Array.iter
-          (fun d -> if d < 0 then err "negative array dimension %d" d)
-          dims;
-        let n = Array.fold_left ( * ) 1 dims in
-        let esz =
+          | Types.Eprim p ->
+              let size = len * Types.prim_size p in
+              let addr = Om.addr_of gc o in
+              Heap.blit_in (Gc.heap gc) ~src:rr.data ~src_off:rr.pos
+                ~dst:(Heap.data_of addr + 4)
+                ~len:size;
+              Env.charge_per_byte env cost.deser_ns_per_byte size
+          | Types.Eref _ ->
+              for i = 0 to len - 1 do
+                Env.charge env cost.ser_per_field_ns;
+                Om.set_elem_ref gc o i (handle_of (r_u32 rr))
+              done)
+      | R_md (elem, rank) -> (
+          let dims = Array.init rank (fun _ -> r_u32 rr) in
+          let n = Array.fold_left ( * ) 1 dims in
           match elem with
-          | Types.Eprim p -> Types.prim_size p
-          | Types.Eref _ -> 4
-        in
-        r_skip r (n * esz);
-        handles.(id) <- Some (Om.alloc_md_array gc elem dims)
-  done;
-  let root_id = r_u32 r in
-  let handle_of id =
-    if id = 0 then None
-    else if id < 0 || id > n_objects then err "object id %d out of range" id
-    else
-      match handles.(id) with
-      | Some h -> Some h
-      | None -> err "dangling object id %d" id
+          | Types.Eprim p ->
+              let size = n * Types.prim_size p in
+              let addr = Om.addr_of gc o in
+              Heap.blit_in (Gc.heap gc) ~src:rr.data ~src_off:rr.pos
+                ~dst:(Heap.data_of addr + (4 * rank))
+                ~len:size;
+              Env.charge_per_byte env cost.deser_ns_per_byte size
+          | Types.Eref _ ->
+              for i = 0 to n - 1 do
+                Env.charge env cost.ser_per_field_ns;
+                Om.set_elem_ref gc o i (handle_of (r_u32 rr))
+              done)
+    done;
+    let root =
+      if root_id = 0 then Om.null gc
+      else if root_id < 0 || root_id > n_objects then
+        err "root id %d out of range" root_id
+      else
+        match handles.(root_id) with
+        | Some h -> h
+        | None -> err "bad root id %d" root_id
+    in
+    (root_id, root)
   in
-  (* Pass 2: fill payloads and patch references. *)
-  for id = 1 to n_objects do
-    let o = match handles.(id) with Some h -> h | None -> assert false in
-    let rr = { data; pos = payload_pos.(id) } in
-    match types.(type_of.(id)) with
-    | R_class mt ->
-        Array.iter
-          (fun (fd : Classes.field_desc) ->
-            Env.charge env cost.ser_per_field_ns;
-            match fd.Classes.f_type with
-            | Types.Prim p ->
-                let size = Types.prim_size p in
-                let addr = Om.addr_of gc o in
-                Heap.blit_in (Gc.heap gc) ~src:rr.data ~src_off:rr.pos
-                  ~dst:(Heap.data_of addr + fd.Classes.f_offset)
-                  ~len:size;
-                Env.charge_per_byte env cost.deser_ns_per_byte size;
-                rr.pos <- rr.pos + size
-            | Types.Ref _ ->
-                let target = r_u32 rr in
-                Om.set_ref gc o fd (handle_of target))
-          mt.Classes.c_fields
-    | R_array elem -> (
-        let len = r_u32 rr in
-        match elem with
-        | Types.Eprim p ->
-            let size = len * Types.prim_size p in
-            let addr = Om.addr_of gc o in
-            Heap.blit_in (Gc.heap gc) ~src:rr.data ~src_off:rr.pos
-              ~dst:(Heap.data_of addr + 4)
-              ~len:size;
-            Env.charge_per_byte env cost.deser_ns_per_byte size
-        | Types.Eref _ ->
-            for i = 0 to len - 1 do
-              Env.charge env cost.ser_per_field_ns;
-              Om.set_elem_ref gc o i (handle_of (r_u32 rr))
-            done)
-    | R_md (elem, rank) -> (
-        let dims = Array.init rank (fun _ -> r_u32 rr) in
-        let n = Array.fold_left ( * ) 1 dims in
-        match elem with
-        | Types.Eprim p ->
-            let size = n * Types.prim_size p in
-            let addr = Om.addr_of gc o in
-            Heap.blit_in (Gc.heap gc) ~src:rr.data ~src_off:rr.pos
-              ~dst:(Heap.data_of addr + (4 * rank))
-              ~len:size;
-            Env.charge_per_byte env cost.deser_ns_per_byte size
-        | Types.Eref _ ->
-            for i = 0 to n - 1 do
-              Env.charge env cost.ser_per_field_ns;
-              Om.set_elem_ref gc o i (handle_of (r_u32 rr))
-            done)
-  done;
+  let root_id, root =
+    try decode ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Array.iter (Option.iter (Om.free gc)) handles;
+      Printexc.raise_with_backtrace e bt
+  in
   (* Release every temporary handle except the root's. *)
-  let root =
-    if root_id = 0 then Om.null gc
-    else if root_id < 0 || root_id > n_objects then
-      err "root id %d out of range" root_id
-    else
-      match handles.(root_id) with
-      | Some h -> h
-      | None -> err "bad root id %d" root_id
-  in
   for id = 1 to n_objects do
     if id <> root_id then
       match handles.(id) with

@@ -15,7 +15,11 @@
     is the paper's implementation (a linear list whose quadratic search
     cost shows in Figure 10 beyond ~2048 objects); [Hashed] is the
     "efficient structure" the paper leaves as future work, kept here as an
-    ablation.
+    ablation. The choice only sets the virtual-time charge: [Linear] is
+    charged exactly the probes the paper's prepended list walks (with [n]
+    entries, a hit on the one at 0-based insertion index [pos] costs
+    [n - pos] and a miss [max 1 n]), [Hashed] one per lookup. On the host
+    both look addresses up in the same O(1) table.
 
     A {e split representation} — several independently deserializable
     segments produced from one array without building intermediate

@@ -76,12 +76,11 @@ let sweep ?(quick = false) ?(domains = default_domains) ?(reps = 5) () =
 let csv_header = "workload,domains,ranks,reps,cores,median_wall_ms,speedup"
 
 let write_csv ~path points =
-  let oc = open_out path in
-  output_string oc (csv_header ^ "\n");
   let c = cores () in
-  List.iter
-    (fun p ->
-      Printf.fprintf oc "%s,%d,%d,%d,%d,%.3f,%.3f\n" p.p_workload p.p_domains
-        p.p_ranks p.p_reps c p.p_median_wall_ms p.p_speedup)
-    points;
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (csv_header ^ "\n");
+      List.iter
+        (fun p ->
+          Printf.fprintf oc "%s,%d,%d,%d,%d,%.3f,%.3f\n" p.p_workload
+            p.p_domains p.p_ranks p.p_reps c p.p_median_wall_ms p.p_speedup)
+        points)

@@ -66,6 +66,23 @@ let csv_string ~headers ~rows =
   Buffer.contents b
 
 let write_csv ~path ~headers ~rows =
-  let oc = open_out path in
-  output_string oc (csv_string ~headers ~rows);
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (csv_string ~headers ~rows))
+
+let rec mkdirs dir =
+  if dir <> Filename.dirname dir && not (Sys.file_exists dir) then begin
+    mkdirs (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+  end
+
+let check_writable path =
+  mkdirs (Filename.dirname path);
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path with
+  | oc ->
+      close_out oc;
+      if not existed then Sys.remove path;
+      Ok ()
+  | exception Sys_error msg ->
+      (* An open failure reads "<path>: <reason>". *)
+      Error ("cannot write " ^ msg)

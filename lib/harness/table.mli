@@ -15,3 +15,9 @@ val csv_string : headers:string list -> rows:(string * cell list) list -> string
 
 val write_csv :
   path:string -> headers:string list -> rows:(string * cell list) list -> unit
+
+val check_writable : string -> (unit, string) result
+(** Create the missing parent directories of an output path and check the
+    file can be opened for writing, leaving an existing file untouched and
+    creating none. [Error] is a one-line message naming the path. Run it
+    on every output path before a long sweep so a bad path fails at once. *)

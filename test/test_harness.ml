@@ -187,6 +187,43 @@ let test_table_rendering () =
     && String.split_on_char '\n' s |> List.length >= 3
     && String.index_opt s '"' <> None)
 
+(* Output paths are checked before a sweep starts: missing parents are
+   created, nothing is left behind or truncated, and a path that cannot be
+   written is a one-line error naming it. *)
+let test_check_writable () =
+  let dir = Filename.temp_dir "motor_outputs" "" in
+  let path = Filename.concat (Filename.concat dir "a/b") "x.csv" in
+  Alcotest.(check bool) "nested path ok" true (T.check_writable path = Ok ());
+  Alcotest.(check bool) "parents created" true
+    (Sys.is_directory (Filename.dirname path));
+  Alcotest.(check bool) "no file left behind" false (Sys.file_exists path);
+  T.write_csv ~path ~headers:[ "h" ] ~rows:[ ("r", [ T.Num 1.0 ]) ];
+  let before = In_channel.with_open_text path In_channel.input_all in
+  Alcotest.(check bool) "existing file ok" true (T.check_writable path = Ok ());
+  Alcotest.(check string) "existing file untouched" before
+    (In_channel.with_open_text path In_channel.input_all);
+  let rejects what bad =
+    match T.check_writable bad with
+    | Ok () -> Alcotest.failf "%s: %s accepted" what bad
+    | Error msg ->
+        let contains sub =
+          let n = String.length sub in
+          let rec at i =
+            i + n <= String.length msg
+            && (String.sub msg i n = sub || at (i + 1))
+          in
+          at 0
+        in
+        Alcotest.(check bool) (what ^ ": names the path") true (contains bad);
+        Alcotest.(check bool) (what ^ ": one line") false
+          (String.contains msg '\n')
+  in
+  rejects "under a regular file" (Filename.concat path "y.csv");
+  rejects "a directory" dir;
+  Sys.remove path;
+  List.iter Sys.rmdir
+    [ Filename.dirname path; Filename.concat dir "a"; dir ]
+
 (* Full-figure shape checks: the reproduction's headline assertions. *)
 
 let quick9 = { W.iters = 30; timed = 15; trials = 1 }
@@ -240,6 +277,8 @@ let () =
           Alcotest.test_case "ablation: split-representation scatter" `Quick
             test_abl_split_scatter;
           Alcotest.test_case "table rendering" `Quick test_table_rendering;
+          Alcotest.test_case "output paths checked up front" `Quick
+            test_check_writable;
         ] );
       ( "shape checks (paper reproduction)",
         [

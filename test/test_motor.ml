@@ -541,24 +541,31 @@ let test_linear_and_hashed_agree () =
       let b = Ser.serialize gc ~visited:Ser.Hashed head in
       Alcotest.(check bytes) "identical representations" a b)
 
+(* The closed form behind Figure 10. A k-node list whose nodes each hold
+   an int array makes 2k lookups, all misses: the root with an empty list,
+   then per node its array and (but for the last) its successor. The i-th
+   walks max 1 (i - 1) cells, so Linear charges 2k^2 - k + 1 probes,
+   quadratic in the object count, and Hashed 2k. *)
 let test_linear_visited_quadratic_probes () =
   with_runtime (fun gc registry ->
       let mt = linked_array_class registry in
       let env = Vm.Heap.env (Gc.heap gc) in
-      let probes_for n =
+      let probes_for visited k =
         Simtime.Stats.reset env.Simtime.Env.stats;
-        let head = build_list gc mt ~elems:n ~ints_per_node:1 in
-        ignore (Ser.serialize gc ~visited:Ser.Linear head);
+        let head = build_list gc mt ~elems:k ~ints_per_node:1 in
+        ignore (Ser.serialize gc ~visited head);
         Simtime.Stats.get env.Simtime.Env.stats Key.visited_probes
       in
-      let p100 = probes_for 100 in
-      let p400 = probes_for 400 in
-      (* Quadratic: 4x the objects, ~16x the probes. *)
-      let ratio = float_of_int p400 /. float_of_int p100 in
-      Alcotest.(check bool)
-        (Printf.sprintf "probe ratio %.1f in [10, 22]" ratio)
-        true
-        (ratio > 10.0 && ratio < 22.0))
+      List.iter
+        (fun k ->
+          Alcotest.(check int)
+            (Printf.sprintf "linear, k = %d" k)
+            ((2 * k * k) - k + 1)
+            (probes_for Ser.Linear k);
+          Alcotest.(check int)
+            (Printf.sprintf "hashed, k = %d" k)
+            (2 * k) (probes_for Ser.Hashed k))
+        [ 1; 2; 3; 100; 256; 400 ])
 
 let test_split_sizes () =
   with_runtime (fun gc registry ->

@@ -1,6 +1,7 @@
 (* Cross-cutting property tests: typed storage roundtrips over every
    primitive type (including boundary values), serializer idempotence,
-   agreement between the two visited structures on arbitrary graphs,
+   agreement between the two visited structures on arbitrary graphs, the
+   indexed Linear visited table against the paper's list walk,
    corpus trace-file round-trips and checkpoint save/restore. *)
 
 module Om = Vm.Object_model
@@ -320,6 +321,287 @@ let prop_mixed_transport_strategies_agree =
       Bytes.equal
         (Ser.serialize gc ~visited:Ser.Linear root)
         (Ser.serialize gc ~visited:Ser.Hashed root))
+
+(* Exact model of the paper's visited list. The serializer keeps an
+   indexed table on the host but must charge exactly what the paper's
+   prepended list walks. The oracle below is the paper's encode pass with
+   that list kept literally — every lookup walks it — producing the wire
+   bytes, the probe total and the virtual clock the real pass must reach,
+   charge for charge in the same order. It covers the shapes the random
+   graphs use: classes, int32 arrays and reference arrays. *)
+let exact_class registry =
+  match Classes.find_by_name registry "XNode" with
+  | Some mt -> mt
+  | None ->
+      let id = Classes.declare registry ~name:"XNode" in
+      let ints = Classes.array_class registry (Types.Eprim Types.I4) in
+      let nodes = Classes.array_class registry (Types.Eref id) in
+      Classes.complete registry id ~transportable:true
+        ~fields:
+          [
+            ("t", Types.Ref id, true);
+            ("u", Types.Ref id, false);
+            ("d", Types.Ref ints.Classes.c_id, true);
+            ("k", Types.Ref nodes.Classes.c_id, true);
+            ("v", Types.Prim Types.I4, false);
+          ]
+        ()
+
+let oracle_prim_code = function
+  | Types.I1 -> 1
+  | Types.I2 -> 2
+  | Types.I4 -> 3
+  | Types.I8 -> 4
+  | Types.R4 -> 5
+  | Types.R8 -> 6
+  | Types.Bool -> 7
+  | Types.Char -> 8
+
+let oracle_elem_code = function
+  | Types.Eprim p -> oracle_prim_code p
+  | Types.Eref _ -> 0xff
+
+(* [root] is [`Whole addr] or [`Slice (addr, offset, count)]; [clock] is
+   the virtual time the pass starts at. Returns (bytes, probes, clock). *)
+let oracle_serialize gc ~clock root =
+  let heap = Gc.heap gc in
+  let cost = (Vm.Heap.env heap).Simtime.Env.cost in
+  let now = ref clock and probes = ref 0 in
+  let charge ns = now := !now +. ns in
+  let visited = ref [] in
+  let lookup a =
+    let rec walk n = function
+      | [] -> (None, n)
+      | (b, id) :: rest -> if a = b then (Some id, n + 1) else walk (n + 1) rest
+    in
+    let found, n = walk 0 !visited in
+    let n = max 1 n in
+    charge (cost.Simtime.Cost.visited_probe_ns *. float_of_int n);
+    probes := !probes + n;
+    found
+  in
+  let u32 b v = Buffer.add_int32_le b (Int32.of_int v) in
+  let str b s =
+    Buffer.add_uint16_le b (String.length s);
+    Buffer.add_string b s
+  in
+  let types = Buffer.create 64 and objects = Buffer.create 256 in
+  let interned = ref [] and n_objects = ref 0 in
+  let queue = Queue.create () in
+  let intern (mt : Classes.method_table) =
+    match List.assoc_opt mt.Classes.c_id !interned with
+    | Some i -> i
+    | None ->
+        let i = List.length !interned in
+        interned := (mt.Classes.c_id, i) :: !interned;
+        (match mt.Classes.c_kind with
+        | Classes.K_class ->
+            Buffer.add_uint8 types 0;
+            str types mt.Classes.c_name;
+            Buffer.add_uint16_le types (Array.length mt.Classes.c_fields);
+            Array.iter
+              (fun (fd : Classes.field_desc) ->
+                Buffer.add_uint8 types
+                  (match fd.Classes.f_type with
+                  | Types.Prim p -> oracle_prim_code p
+                  | Types.Ref _ -> 0xff))
+              mt.Classes.c_fields
+        | Classes.K_array elem ->
+            Buffer.add_uint8 types 1;
+            str types mt.Classes.c_name;
+            Buffer.add_uint8 types (oracle_elem_code elem)
+        | Classes.K_md_array _ -> failwith "oracle: md arrays not modelled");
+        i
+  in
+  let id_of a =
+    if a = Vm.Heap.null then 0
+    else
+      match lookup a with
+      | Some id -> id
+      | None ->
+          incr n_objects;
+          visited := (a, !n_objects) :: !visited;
+          Queue.push a queue;
+          !n_objects
+  in
+  let payload src len =
+    Buffer.add_subbytes objects (Vm.Heap.mem heap) src len;
+    charge (cost.Simtime.Cost.ser_ns_per_byte *. float_of_int len)
+  in
+  let ref_elems data first count =
+    for i = first to first + count - 1 do
+      charge cost.Simtime.Cost.ser_per_field_ns;
+      u32 objects (id_of (Vm.Heap.get_ref heap (data + 4 + (4 * i))))
+    done
+  in
+  let emit a =
+    charge cost.Simtime.Cost.ser_per_obj_ns;
+    let mt = Gc.method_table_of gc a in
+    u32 objects (intern mt);
+    let data = Vm.Heap.data_of a in
+    match mt.Classes.c_kind with
+    | Classes.K_class ->
+        Array.iter
+          (fun (fd : Classes.field_desc) ->
+            charge
+              (cost.Simtime.Cost.ser_per_field_ns
+             +. cost.Simtime.Cost.reflect_field_ns);
+            let slot = data + fd.Classes.f_offset in
+            match fd.Classes.f_type with
+            | Types.Prim p -> payload slot (Types.prim_size p)
+            | Types.Ref _ ->
+                u32 objects
+                  (if fd.Classes.f_transportable then
+                     id_of (Vm.Heap.get_ref heap slot)
+                   else 0))
+          mt.Classes.c_fields
+    | Classes.K_array elem -> (
+        let len = Vm.Heap.get_i32 heap data in
+        u32 objects len;
+        match elem with
+        | Types.Eprim p -> payload (data + 4) (len * Types.prim_size p)
+        | Types.Eref _ -> ref_elems data 0 len)
+    | Classes.K_md_array _ -> failwith "oracle: md arrays not modelled"
+  in
+  let root_id =
+    match root with
+    | `Whole a -> id_of a
+    | `Slice (a, offset, count) ->
+        incr n_objects;
+        charge cost.Simtime.Cost.ser_per_obj_ns;
+        u32 objects (intern (Gc.method_table_of gc a));
+        u32 objects count;
+        ref_elems (Vm.Heap.data_of a) offset count;
+        1
+  in
+  while not (Queue.is_empty queue) do
+    emit (Queue.pop queue)
+  done;
+  let out = Buffer.create 512 in
+  u32 out 0x4D4F5452;
+  u32 out (List.length !interned);
+  Buffer.add_buffer out types;
+  u32 out !n_objects;
+  Buffer.add_buffer out objects;
+  u32 out root_id;
+  (Buffer.to_bytes out, !probes, !now)
+
+(* A random XNode graph: t/u edges give self-loops, cycles and sharing
+   (u is not Transportable, so it must never be probed), d is a shared
+   or private int32 array or null, and k an occasional node array with
+   null holes. Returns the XNode[] of every node. *)
+let build_exact gc registry ~n ~seed =
+  let mt = exact_class registry in
+  let f name = Classes.field mt name in
+  let ft = f "t" and fu = f "u" and fd = f "d" and fk = f "k" in
+  let fv = f "v" in
+  let state = ref (seed + 7) in
+  let next m =
+    state := ((!state * 1103515245) + 12345) land 0x3fffffff;
+    !state mod m
+  in
+  let all = Om.alloc_array gc (Types.Eref mt.Classes.c_id) n in
+  let shared = Om.alloc_array gc (Types.Eprim Types.I4) 3 in
+  let nodes =
+    Array.init n (fun i ->
+        let o = Om.alloc_instance gc mt in
+        Om.set_int gc o fv ((seed * 13) + i);
+        Om.set_elem_ref gc all i (Some o);
+        o)
+  in
+  let pick () = if next 5 = 0 then None else Some nodes.(next n) in
+  Array.iter
+    (fun o ->
+      Om.set_ref gc o ft (pick ());
+      Om.set_ref gc o fu (pick ());
+      (match next 3 with
+      | 0 -> Om.set_ref gc o fd (Some shared)
+      | 1 ->
+          let a = Om.alloc_array gc (Types.Eprim Types.I4) (1 + next 4) in
+          Om.set_elem_int gc a 0 (next 1000);
+          Om.set_ref gc o fd (Some a);
+          Om.free gc a
+      | _ -> ());
+      if next 4 = 0 then begin
+        let len = next 4 in
+        let k = Om.alloc_array gc (Types.Eref mt.Classes.c_id) len in
+        for j = 0 to len - 1 do
+          Om.set_elem_ref gc k j (pick ())
+        done;
+        Om.set_ref gc o fk (Some k);
+        Om.free gc k
+      end)
+    nodes;
+  Om.free gc shared;
+  Array.iter (Om.free gc) nodes;
+  all
+
+let prop_indexed_linear_matches_list_walk =
+  QCheck.Test.make
+    ~name:
+      "indexed Linear visited = the paper's list walk (bytes, probes, \
+       clock bits)"
+    ~count:60
+    QCheck.(triple (int_range 1 40) (int_range 0 9999) (int_range 1 5))
+    (fun (n, seed, parts) ->
+      let rt = Runtime.create () in
+      let gc = rt.Runtime.gc in
+      let env = rt.Runtime.env in
+      let all = build_exact gc rt.Runtime.registry ~n ~seed in
+      let addr = Om.addr_of gc all in
+      let probes () =
+        Simtime.Stats.get env.Simtime.Env.stats
+          Simtime.Stats.Key.visited_probes
+      in
+      (* Run [f] and the oracle from the same clock and compare all three. *)
+      let agrees f roots =
+        let t0 = Simtime.Env.now_ns env and p0 = probes () in
+        let got = f () in
+        let t1 = Simtime.Env.now_ns env and p1 = probes () in
+        let expected, want_probes, want_clock =
+          List.fold_left
+            (fun (acc, p, clock) root ->
+              let b, dp, clock = oracle_serialize gc ~clock root in
+              (acc @ [ b ], p + dp, clock))
+            ([], 0, t0) roots
+        in
+        List.equal Bytes.equal got expected
+        && p1 - p0 = want_probes
+        && Int64.equal
+             (Int64.bits_of_float (t1 -. t0))
+             (Int64.bits_of_float (want_clock -. t0))
+      in
+      let first = Om.get_elem_ref gc all 0 |> Option.get in
+      let offset = seed mod n in
+      let count = (seed / 7) mod (n - offset + 1) in
+      let parts = min parts n in
+      let split_roots =
+        let base = n / parts and extra = n mod parts in
+        List.init parts (fun i ->
+            `Slice
+              ( addr,
+                (i * base) + min i extra,
+                base + if i < extra then 1 else 0 ))
+      in
+      let ok =
+        agrees
+          (fun () -> [ Ser.serialize gc ~visited:Ser.Linear first ])
+          [ `Whole (Om.addr_of gc first) ]
+        && agrees
+             (fun () -> [ Ser.serialize gc ~visited:Ser.Linear all ])
+             [ `Whole addr ]
+        && agrees
+             (fun () ->
+               [ Ser.serialize_array_slice gc ~visited:Ser.Linear all
+                   ~offset ~count ])
+             [ `Slice (addr, offset, count) ]
+        && agrees
+             (fun () ->
+               Array.to_list (Ser.split gc ~visited:Ser.Linear all ~parts))
+             split_roots
+      in
+      Om.free gc first;
+      ok)
 
 let prop_split_parts_cover_disjointly =
   QCheck.Test.make ~name:"split parts partition the element index space"
@@ -930,6 +1212,7 @@ let () =
           QCheck_alcotest.to_alcotest
             prop_mixed_transport_roundtrip_isomorphic;
           QCheck_alcotest.to_alcotest prop_mixed_transport_strategies_agree;
+          QCheck_alcotest.to_alcotest prop_indexed_linear_matches_list_walk;
         ] );
       ( "communicator algebra",
         [

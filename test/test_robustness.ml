@@ -92,6 +92,10 @@ let fingerprint gc registry root =
   go root;
   Buffer.contents acc
 
+let live_after_full_gc gc =
+  Gc.collect gc ~full:true;
+  Gc.live_objects gc
+
 let test_oom_during_deserialize_is_clean () =
   (* A tiny arena cannot hold the incoming graph: the failure must be
      Out_of_memory, and the heap must stay parseable. *)
@@ -108,6 +112,54 @@ let test_oom_during_deserialize_is_clean () =
      Alcotest.fail "expected Out_of_memory"
    with Heap.Out_of_memory -> ());
   Heap.check_consistency small_rt.Runtime.heap
+
+let test_failed_decode_releases_handles () =
+  (* Pass 1 of a decode allocates every object before pass 2 resolves the
+     ids; a bad id found in pass 2 must not leave those objects rooted. *)
+  let rt = Runtime.create () in
+  let gc = rt.Runtime.gc in
+  let mt =
+    let id = Classes.declare rt.Runtime.registry ~name:"LeakNode" in
+    Classes.complete rt.Runtime.registry id ~transportable:true
+      ~fields:[ ("v", Types.Prim Types.I4, false); ("next", Types.Ref id, true) ]
+      ()
+  in
+  let head = Om.alloc_instance gc mt and tail = Om.alloc_instance gc mt in
+  Om.set_ref gc head (Classes.field mt "next") (Some tail);
+  let repr = Ser.serialize gc ~visited:Ser.Linear head in
+  (* The last record's [next] id sits just before the trailing root id. *)
+  Bytes.set_int32_le repr (Bytes.length repr - 8) 99l;
+  let live_before = live_after_full_gc gc in
+  for _ = 1 to 10 do
+    match Ser.deserialize gc repr with
+    | _ -> Alcotest.fail "expected Serialize_error"
+    | exception Ser.Serialize_error _ -> ()
+  done;
+  Alcotest.(check int) "out-of-range id leaves no objects behind" live_before
+    (live_after_full_gc gc);
+  (* Out of memory on the last record, after small records were allocated:
+     an array of five one-element arrays and one larger than the arena. *)
+  let ints = Types.Eprim Types.I4 in
+  let int_arrays = Classes.array_class rt.Runtime.registry ints in
+  let root = Om.alloc_array gc (Types.Eref int_arrays.Classes.c_id) 6 in
+  for i = 0 to 5 do
+    let a = Om.alloc_array gc ints (if i < 5 then 1 else 200_000) in
+    Om.set_elem_ref gc root i (Some a);
+    Om.free gc a
+  done;
+  let repr = Ser.serialize gc ~visited:Ser.Linear root in
+  let small_rt =
+    Runtime.create ~arena_bytes:(512 * 1024) ~block_bytes:(64 * 1024) ()
+  in
+  let small = small_rt.Runtime.gc in
+  let live_before = live_after_full_gc small in
+  for _ = 1 to 10 do
+    match Ser.deserialize small repr with
+    | _ -> Alcotest.fail "expected Out_of_memory"
+    | exception Heap.Out_of_memory -> ()
+  done;
+  Alcotest.(check int) "out-of-memory leaves no objects behind" live_before
+    (live_after_full_gc small)
 
 let test_wrong_class_shape_rejected () =
   (* Receiver's class has a different field signature: decode must fail
@@ -227,6 +279,8 @@ let () =
         [
           Alcotest.test_case "OOM during deserialize is clean" `Quick
             test_oom_during_deserialize_is_clean;
+          Alcotest.test_case "failed decode releases its handles" `Quick
+            test_failed_decode_releases_handles;
           Alcotest.test_case "wrong class shape rejected" `Quick
             test_wrong_class_shape_rejected;
         ] );
