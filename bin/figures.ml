@@ -8,37 +8,52 @@ let result_cell = function
   | Workloads.Time_us t -> Table.Num t
   | Workloads.Crashed msg -> Table.Text ("CRASH: " ^ msg)
 
-let series_table ~title ~xlabel series ~csv =
-  (* simpler layout: first column is x *)
-  let headers =
-    xlabel
-    :: List.map (fun (s : Experiments.series) -> s.Experiments.system) series
-  in
-  ignore headers;
-  let headers =
-    List.map (fun (s : Experiments.series) -> s.Experiments.system) series
-  in
+(* The tail every sweep shares, run once its rows and check are computed:
+   write the CSV when --csv was given, then print the check's ok line or
+   each of its failure lines and exit 1 on any failure. The CSV comes
+   first so a failing sweep still leaves its rows to inspect. *)
+let finish ?csv ?(headers = []) ?(rows = []) ?check () =
+  Option.iter
+    (fun path ->
+      Table.write_csv ~path ~headers ~rows;
+      Format.printf "csv written to %s@." path)
+    csv;
+  match check with
+  | None -> ()
+  | Some (ok, []) -> Format.printf "%s@." ok
+  | Some (_, failures) ->
+      List.iter (Format.printf "%s@.") failures;
+      Stdlib.exit 1
+
+(* A figure's series as table rows: one per x, one cell per system. *)
+let series_rows series =
   let xs =
     List.map
       (fun (p : Experiments.point) -> p.Experiments.x)
       (List.hd series).Experiments.points
   in
-  let rows =
-    List.map
-      (fun x ->
-        ( string_of_int x,
-          List.map
-            (fun (s : Experiments.series) ->
-              match
-                List.find_opt
-                  (fun (p : Experiments.point) -> p.Experiments.x = x)
-                  s.Experiments.points
-              with
-              | Some p -> result_cell p.Experiments.result
-              | None -> Table.Missing)
-            series ))
-      xs
+  List.map
+    (fun x ->
+      ( string_of_int x,
+        List.map
+          (fun (s : Experiments.series) ->
+            match
+              List.find_opt
+                (fun (p : Experiments.point) -> p.Experiments.x = x)
+                s.Experiments.points
+            with
+            | Some p -> result_cell p.Experiments.result
+            | None -> Table.Missing)
+          series ))
+    xs
+
+(* A figure's series as a table (first column is x) plus a log-log chart;
+   returns the table's headers and rows. *)
+let series_table ~title ~xlabel series =
+  let headers =
+    "" :: List.map (fun (s : Experiments.series) -> s.Experiments.system) series
   in
+  let rows = series_rows series in
   Table.print_table ~title ~headers ~rows ();
   let chart_series =
     List.map
@@ -54,45 +69,41 @@ let series_table ~title ~xlabel series ~csv =
   in
   Chart.log_log ~title:(title ^ " [plot]") ~xlabel ~ylabel:"us/iter"
     ~series:chart_series ();
-  match csv with
-  | Some path ->
-      Table.write_csv ~path ~headers ~rows;
-      Format.printf "csv written to %s@." path
-  | None -> ()
+  (headers, rows)
 
-let quick_protocol = { Workloads.iters = 40; timed = 20; trials = 1 }
+let protocol ~quick =
+  if quick then { Workloads.iters = 40; timed = 20; trials = 1 }
+  else Workloads.paper_protocol
 
 let run_fig9 ~quick ~csv =
-  let protocol =
-    if quick then quick_protocol else Workloads.paper_protocol
+  let series = Experiments.fig9 ~protocol:(protocol ~quick) () in
+  let headers, rows =
+    series_table
+      ~title:
+        "Figure 9: ping-pong, regular MPI operations (us per iteration vs \
+         buffer bytes)"
+      ~xlabel:"bytes" series
   in
-  let series = Experiments.fig9 ~protocol () in
-  series_table
-    ~title:
-      "Figure 9: ping-pong, regular MPI operations (us per iteration vs \
-       buffer bytes)"
-    ~xlabel:"bytes" series ~csv;
   Format.printf "@.shape checks:@.%a" Shapes.pp_verdicts
     (Shapes.fig9_checks series);
+  finish ?csv ~headers ~rows ();
   series
 
 let run_fig10 ~quick ~csv =
   let series = Experiments.fig10 ~quick () in
-  series_table
-    ~title:
-      "Figure 10: ping-pong, linked-list object transport (us per \
-       iteration vs total objects; 4096 B payload)"
-    ~xlabel:"objects" series ~csv;
+  let headers, rows =
+    series_table
+      ~title:
+        "Figure 10: ping-pong, linked-list object transport (us per \
+         iteration vs total objects; 4096 B payload)"
+      ~xlabel:"objects" series
+  in
   if not quick then
     Format.printf "@.shape checks:@.%a" Shapes.pp_verdicts
       (Shapes.fig10_checks series);
-  series
+  finish ?csv ~headers ~rows ()
 
-let run_taba ~quick =
-  let protocol =
-    if quick then quick_protocol else Workloads.paper_protocol
-  in
-  let series = Experiments.fig9 ~protocol () in
+let run_taba series =
   let rows =
     List.map
       (fun (r : Experiments.taba_row) ->
@@ -103,7 +114,7 @@ let run_taba ~quick =
   in
   Table.print_table
     ~title:"Table A: Motor improvement over Indiana SSCLI (percent)"
-    ~headers:[ "paper"; "measured" ] ~rows ()
+    ~headers:[ ""; "paper"; "measured" ] ~rows ()
 
 let run_tabb () =
   let rows =
@@ -114,7 +125,7 @@ let run_tabb () =
   Table.print_table
     ~title:
       "Table B (footnote 4): pinning cost by SSCLI build, 64 B ping-pong"
-    ~headers:[ "us/iter" ] ~rows ()
+    ~headers:[ ""; "us/iter" ] ~rows ()
 
 let run_ablations ~quick =
   let rows =
@@ -124,7 +135,7 @@ let run_ablations ~quick =
       (Experiments.abl_pinning_policy ~size:1024 ())
   in
   Table.print_table ~title:"Ablation 1: pinning policy (1 KiB ping-pong)"
-    ~headers:[ "us/iter"; "pins" ] ~rows ();
+    ~headers:[ ""; "us/iter"; "pins" ] ~rows ();
   let rows =
     List.map
       (fun (name, us) -> (name, [ Table.Num us ]))
@@ -132,11 +143,11 @@ let run_ablations ~quick =
   in
   Table.print_table
     ~title:"Ablation 2: call mechanism priced into the same stack (4 B)"
-    ~headers:[ "us/iter" ] ~rows ();
-  series_table ~title:"Ablation 3: visited structure (Figure 10 workload)"
-    ~xlabel:"objects"
-    (Experiments.abl_visited ~quick ())
-    ~csv:None;
+    ~headers:[ ""; "us/iter" ] ~rows ();
+  ignore
+    (series_table ~title:"Ablation 3: visited structure (Figure 10 workload)"
+       ~xlabel:"objects"
+       (Experiments.abl_visited ~quick ()));
   let eager = Experiments.abl_eager_threshold () in
   let sizes = List.map fst (snd (List.hd eager)) in
   let rows =
@@ -148,7 +159,7 @@ let run_ablations ~quick =
   in
   Table.print_table
     ~title:"Ablation 4: eager/rendezvous threshold (us/iter by message size)"
-    ~headers:(List.map string_of_int sizes)
+    ~headers:("" :: List.map string_of_int sizes)
     ~rows ();
   let rows =
     List.map
@@ -160,7 +171,7 @@ let run_ablations ~quick =
   in
   Table.print_table
     ~title:"Ablation 5: non-blocking unpin strategy under GC pressure"
-    ~headers:[ "us total"; "pins"; "cond. pins dropped" ]
+    ~headers:[ ""; "us total"; "pins"; "cond. pins dropped" ]
     ~rows ();
   let chans = Experiments.abl_channel () in
   let sizes = List.map fst (snd (List.hd chans)) in
@@ -173,7 +184,7 @@ let run_ablations ~quick =
   Table.print_table
     ~title:
       "Ablation 6: channel swap, same Motor stack (us/iter by message size)"
-    ~headers:(List.map string_of_int sizes)
+    ~headers:("" :: List.map string_of_int sizes)
     ~rows ();
   let rows =
     List.map
@@ -187,14 +198,11 @@ let run_ablations ~quick =
     ~title:
       "Ablation 7: OScatter of a 64-object array — split representation vs \
        wrapper emulation (Section 2.4)"
-    ~headers:[ "Motor us"; "wrapper us"; "ratio" ]
+    ~headers:[ ""; "Motor us"; "wrapper us"; "ratio" ]
     ~rows ()
 
 (* Loss sweep: completion time and goodput of the ring workload under
    injected faults, with the reliable-delivery layer masking them. *)
-let faults_headers =
-  [ "us"; "MB/s"; "retx"; "acks"; "fault drops"; "corrupt"; "dup"; "digest" ]
-
 let run_faults ~quick ~csv =
   let rounds = if quick then 10 else 30 in
   let points =
@@ -206,6 +214,10 @@ let run_faults ~quick ~csv =
     match points with
     | p :: _ -> p.Experiments.digest
     | [] -> ""
+  in
+  let headers =
+    [ ""; "us"; "MB/s"; "retx"; "acks"; "fault drops"; "corrupt"; "dup";
+      "digest" ]
   in
   let rows =
     List.map
@@ -230,25 +242,25 @@ let run_faults ~quick ~csv =
          "Loss sweep: 4-rank ring, %d rounds x 2 KiB, reliable delivery \
           over a faulty wire (by drop probability)"
          rounds)
-    ~headers:faults_headers ~rows ();
-  let ok =
-    List.for_all
-      (fun (p : Experiments.loss_point) -> p.Experiments.digest = baseline)
+    ~headers ~rows ();
+  let failures =
+    List.filter_map
+      (fun (p : Experiments.loss_point) ->
+        if p.Experiments.digest = baseline then None
+        else
+          Some
+            (Printf.sprintf
+               "DIGEST MISMATCH at loss %.2f: faults leaked through the \
+                transport"
+               p.Experiments.loss))
       points
   in
-  if ok then Format.printf "digest check: all runs byte-identical to loss 0@."
-  else Format.printf "DIGEST MISMATCH: faults leaked through the transport@.";
-  (match csv with
-  | Some path ->
-      Table.write_csv ~path ~headers:faults_headers ~rows;
-      Format.printf "csv written to %s@." path
-  | None -> ());
-  if not ok then Stdlib.exit 1
+  finish ?csv ~headers ~rows
+    ~check:("digest check: all runs byte-identical to loss 0", failures)
+    ()
 
 (* Collective algorithm sweep: latency vs ranks x payload per algorithm,
    every algorithm forced explicitly (not just the `Auto pick). *)
-let coll_headers = [ "algo"; "ranks"; "bytes"; "time us"; "msgs" ]
-
 let run_coll ~quick ~csv =
   let points =
     if quick then
@@ -256,6 +268,7 @@ let run_coll ~quick ~csv =
         ~sizes:[ 64; 4096 ] ()
     else Harness.Experiments.coll_sweep ()
   in
+  let headers = [ ""; "algo"; "ranks"; "bytes"; "time us"; "msgs" ] in
   let rows =
     List.map
       (fun (p : Experiments.coll_point) ->
@@ -271,7 +284,7 @@ let run_coll ~quick ~csv =
   in
   Table.print_table
     ~title:"Collective algorithm sweep (virtual us per operation)"
-    ~headers:coll_headers ~rows ();
+    ~headers ~rows ();
   (* The selection-policy claim: whichever allreduce algorithm the
      threshold picks must also be the measured winner, on both sides of
      the crossover. *)
@@ -284,7 +297,7 @@ let run_coll ~quick ~csv =
         && p.Experiments.c_bytes = b)
       points
   in
-  let verdict n big =
+  let verdict (n, big) =
     match
       (find "allreduce" "rd" n big, find "allreduce" "rabenseifner" n big)
     with
@@ -305,37 +318,39 @@ let run_coll ~quick ~csv =
         in
         Format.printf
           "allreduce at %d ranks x %d B: rd %.0f us, rabenseifner %.0f us; \
-           policy picks %s -> %s@."
-          n big rd.Experiments.c_time_us rab.Experiments.c_time_us picked
-          (if picked = winner then "agrees with measurement"
-           else "MISMATCH: policy picked the slower algorithm");
-        picked = winner
-    | _ -> true
+           policy picks %s@."
+          n big rd.Experiments.c_time_us rab.Experiments.c_time_us picked;
+        if picked = winner then []
+        else
+          [
+            Printf.sprintf
+              "POLICY CHECK FAILED: at %d ranks x %d B the policy picks %s, \
+               the slower algorithm"
+              n big picked;
+          ]
+    | _ -> []
   in
-  let ok =
-    if quick then verdict 8 4096
-    else
-      (* Both verdicts print, whatever the first one found. *)
-      let small = verdict 16 16_384 in
-      verdict 16 262_144 && small
+  (* Both verdicts print, whatever the first one found. *)
+  let failures =
+    List.concat_map verdict
+      (if quick then [ (8, 4096) ] else [ (16, 16_384); (16, 262_144) ])
   in
-  (match csv with
-  | Some path ->
-      Table.write_csv ~path ~headers:coll_headers ~rows;
-      Format.printf "csv written to %s@." path
-  | None -> ());
-  if not ok then Stdlib.exit 1
+  finish ?csv ~headers ~rows
+    ~check:("policy check: the allreduce policy picks the measured winner",
+            failures)
+    ()
 
 (* Overlap sweep: how much of an in-flight iallreduce a compute loop can
    hide, versus the blocking baseline. *)
-let overlap_headers =
-  [ "bytes"; "compute us"; "comm us"; "blocking us"; "overlap us"; "eff" ]
-
 let run_overlap ~quick ~csv =
   let points =
     if quick then
       Harness.Experiments.overlap_sweep ~ranks:[ 2; 4 ] ~sizes:[ 16_384 ] ()
     else Harness.Experiments.overlap_sweep ()
+  in
+  let headers =
+    [ ""; "bytes"; "compute us"; "comm us"; "blocking us"; "overlap us";
+      "eff" ]
   in
   let rows =
     List.map
@@ -355,35 +370,34 @@ let run_overlap ~quick ~csv =
     ~title:
       "Overlap sweep: iallreduce + chunked compute vs blocking allreduce + \
        compute (by ranks)"
-    ~headers:overlap_headers ~rows ();
-  let ok =
-    List.for_all
-      (fun (p : Experiments.overlap_point) -> p.Experiments.v_efficiency > 0.0)
+    ~headers ~rows ();
+  let failures =
+    List.filter_map
+      (fun (p : Experiments.overlap_point) ->
+        if p.Experiments.v_efficiency > 0.0 then None
+        else
+          Some
+            (Printf.sprintf
+               "OVERLAP CHECK FAILED: %d ranks x %d B is no better than \
+                blocking (eff %g)"
+               p.Experiments.v_ranks p.Experiments.v_bytes
+               p.Experiments.v_efficiency))
       points
   in
-  if ok then
-    Format.printf
-      "overlap check: every point beats the blocking baseline@."
-  else
-    Format.printf
-      "OVERLAP CHECK FAILED: some point is no better than blocking@.";
-  (match csv with
-  | Some path ->
-      Table.write_csv ~path ~headers:overlap_headers ~rows;
-      Format.printf "csv written to %s@." path
-  | None -> ());
-  if not ok then Stdlib.exit 1
+  finish ?csv ~headers ~rows
+    ~check:("overlap check: every point beats the blocking baseline", failures)
+    ()
 
 (* Scale sweep: the two-level allreduce at 1k-64k simulated ranks, each
    row checked against the analytic message and round model. *)
-let scale_headers =
-  [
-    "algo"; "ranks"; "nodes"; "cores"; "bytes"; "time us"; "msgs intra";
-    "msgs inter"; "rounds"; "model msgs"; "model rounds"; "ok";
-  ]
-
-let run_scale ~quick ~out =
+let run_scale ~quick ~csv =
   let points = Harness.Experiments.scale_sweep ~quick () in
+  let headers =
+    [
+      ""; "algo"; "ranks"; "nodes"; "cores"; "bytes"; "time us"; "msgs intra";
+      "msgs inter"; "rounds"; "model msgs"; "model rounds"; "ok";
+    ]
+  in
   let rows =
     List.map
       (fun (p : Experiments.scale_point) ->
@@ -407,40 +421,42 @@ let run_scale ~quick ~out =
     ~title:
       "Scale sweep: two-level allreduce vs the analytic model (8 B, 64 \
        ranks/node)"
-    ~headers:scale_headers ~rows ();
-  let bad = List.filter (fun p -> not (Experiments.scale_ok p)) points in
-  if bad = [] then
-    Format.printf
-      "scale check: every row matches the analytic round/message model@."
-  else
-    List.iter
+    ~headers ~rows ();
+  let failures =
+    List.filter_map
       (fun (p : Experiments.scale_point) ->
-        Format.printf
-          "SCALE CHECK FAILED: %s at %d ranks measured %d msgs / %d rounds, \
-           model says %d / %d@."
-          p.Experiments.sc_algo p.Experiments.sc_ranks
-          (p.Experiments.sc_msgs_intra + p.Experiments.sc_msgs_inter)
-          p.Experiments.sc_rounds p.Experiments.sc_model_msgs
-          p.Experiments.sc_model_rounds)
-      bad;
-  Table.write_csv ~path:out ~headers:scale_headers ~rows;
-  Format.printf "csv written to %s@." out;
-  if bad <> [] then Stdlib.exit 1
+        if Experiments.scale_ok p then None
+        else
+          Some
+            (Printf.sprintf
+               "SCALE CHECK FAILED: %s at %d ranks measured %d msgs / %d \
+                rounds, model says %d / %d"
+               p.Experiments.sc_algo p.Experiments.sc_ranks
+               (p.Experiments.sc_msgs_intra + p.Experiments.sc_msgs_inter)
+               p.Experiments.sc_rounds p.Experiments.sc_model_msgs
+               p.Experiments.sc_model_rounds))
+      points
+  in
+  finish ?csv ~headers ~rows
+    ~check:
+      ( "scale check: every row matches the analytic round/message model",
+        failures )
+    ()
 
 (* One-sided RMA sweep: put size x registration-cache capacity, each row
    checked against the transfer-path accounting. *)
-let rma_headers =
-  [
-    "bytes"; "cache bytes"; "puts"; "time us"; "reg hits"; "reg misses";
-    "evictions"; "eager"; "write rndv"; "read rndv"; "ok";
-  ]
-
-let run_rma ~quick ~out =
+let run_rma ~quick ~csv =
   let points =
     if quick then
       Harness.Experiments.rma_sweep ~sizes:[ 1_024; 65_536 ]
         ~caches:[ 65_536; 1_048_576 ] ()
     else Harness.Experiments.rma_sweep ()
+  in
+  let headers =
+    [
+      ""; "bytes"; "cache bytes"; "puts"; "time us"; "reg hits";
+      "reg misses"; "evictions"; "eager"; "write rndv"; "read rndv"; "ok";
+    ]
   in
   let rows =
     List.map
@@ -464,33 +480,36 @@ let run_rma ~quick ~out =
     ~title:
       "RMA sweep: fence-epoch puts, size x registration-cache capacity \
        (2 ranks, rdma channel)"
-    ~headers:rma_headers ~rows ();
-  let bad = List.filter (fun p -> not (Experiments.rma_ok p)) points in
+    ~headers ~rows ();
   let hits =
-    List.fold_left (fun a (p : Experiments.rma_point) -> a + p.Experiments.m_hits) 0 points
+    List.fold_left
+      (fun a (p : Experiments.rma_point) -> a + p.Experiments.m_hits)
+      0 points
   in
-  if bad = [] && hits > 0 then
-    Format.printf
-      "rma check: every row satisfies the transfer-path accounting, cache \
-       hits observed@."
-  else begin
-    List.iter
+  let failures =
+    List.filter_map
       (fun (p : Experiments.rma_point) ->
-        Format.printf
-          "RMA CHECK FAILED: %d B / %d B cache: %d puts = %d eager + %d \
-           write + %d read; %d hits + %d misses, %d evictions@."
-          p.Experiments.m_bytes p.Experiments.m_cache_bytes
-          p.Experiments.m_puts p.Experiments.m_eager
-          p.Experiments.m_write_rndv p.Experiments.m_read_rndv
-          p.Experiments.m_hits p.Experiments.m_misses
-          p.Experiments.m_evictions)
-      bad;
-    if hits = 0 then
-      Format.printf "RMA CHECK FAILED: no registration-cache hits anywhere@."
-  end;
-  Table.write_csv ~path:out ~headers:rma_headers ~rows;
-  Format.printf "csv written to %s@." out;
-  if bad <> [] || hits = 0 then Stdlib.exit 1
+        if Experiments.rma_ok p then None
+        else
+          Some
+            (Printf.sprintf
+               "RMA CHECK FAILED: %d B / %d B cache: %d puts = %d eager + %d \
+                write + %d read; %d hits + %d misses, %d evictions"
+               p.Experiments.m_bytes p.Experiments.m_cache_bytes
+               p.Experiments.m_puts p.Experiments.m_eager
+               p.Experiments.m_write_rndv p.Experiments.m_read_rndv
+               p.Experiments.m_hits p.Experiments.m_misses
+               p.Experiments.m_evictions))
+      points
+    @ (if hits > 0 then []
+       else [ "RMA CHECK FAILED: no registration-cache hits anywhere" ])
+  in
+  finish ?csv ~headers ~rows
+    ~check:
+      ( "rma check: every row satisfies the transfer-path accounting, cache \
+         hits observed",
+        failures )
+    ()
 
 let write_file path contents =
   Out_channel.with_open_text path (fun oc -> output_string oc contents)
@@ -498,57 +517,74 @@ let write_file path contents =
 (* Kill sweep: the rank-death workloads (lib/check) under many fault
    seeds — each seed picks a victim and a kill time, each run goes
    through the ULFM recovery loop (attempt, agree, revoke, shrink,
-   retry) and is judged by the survivor-convergence invariant. The CSV
+   retry) and is judged by the survivor-convergence invariant. Its CSV
    is the committed results/kill_sweep.csv artifact. *)
-let run_killsweep ~quick ~seeds ~out =
+let run_killsweep ~seeds ~quick ~csv =
   let module E = Check.Explore in
   let n_seeds =
     match seeds with Some s -> s | None -> if quick then 20 else 200
   in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "workload,seed,victim,kill_at_ns,status,violations\n";
-  let runs = ref 0 and failures = ref 0 in
-  let per_workload = ref [] in
-  List.iter
-    (fun w ->
-      let wfail = ref 0 in
-      for seed = 1 to n_seeds do
-        let o = E.run_one ~fault_seed:seed w (Check.Policy.Seeded_random seed) in
-        incr runs;
-        if E.failed o then begin
-          incr failures;
-          incr wfail
-        end;
+  let runs =
+    List.concat_map
+      (fun w ->
         let victims =
           if E.name w = "kill_hier_leader" then Some E.hier_leader_victims
           else None
         in
-        let k = E.kill_of_fault ?victims ~seed:(Some seed) ~n:4 () in
-        let violations =
-          String.map
-            (fun c -> if c = ',' || c = '\n' then ';' else c)
-            (String.concat "; "
-               (List.map
-                  (fun v -> Format.asprintf "%a" Check.Invariant.pp v)
-                  o.E.o_violations))
+        let runs =
+          List.init n_seeds (fun i ->
+              let seed = i + 1 in
+              let o =
+                E.run_one ~fault_seed:seed w (Check.Policy.Seeded_random seed)
+              in
+              let k = E.kill_of_fault ?victims ~seed:(Some seed) ~n:4 () in
+              (E.name w, seed, k, o))
         in
-        Buffer.add_string buf
-          (Printf.sprintf "%s,%d,%d,%.0f,%s,%s\n" (E.name w) seed
-             k.Mpi_core.Fault.k_rank k.Mpi_core.Fault.k_at_ns
-             (if E.failed o then "fail" else "pass")
-             violations)
-      done;
-      per_workload := (E.name w, !wfail) :: !per_workload)
-    (E.kill_workloads ());
-  List.iter
-    (fun (name, wfail) ->
-      Format.printf "%s: %d seed(s), %d failure(s)@." name n_seeds wfail)
-    (List.rev !per_workload);
-  write_file out (Buffer.contents buf);
-  Format.printf
-    "kill sweep: %d run(s), %d failure(s); csv written to %s@." !runs
-    !failures out;
-  if !failures > 0 then Stdlib.exit 1
+        Format.printf "%s: %d seed(s), %d failure(s)@." (E.name w) n_seeds
+          (List.length (List.filter (fun (_, _, _, o) -> E.failed o) runs));
+        runs)
+      (E.kill_workloads ())
+  in
+  let violations o =
+    String.concat "; "
+      (List.map
+         (fun v -> Format.asprintf "%a" Check.Invariant.pp v)
+         o.E.o_violations)
+  in
+  let headers =
+    [ "workload"; "seed"; "victim"; "kill_at_ns"; "status"; "violations" ]
+  in
+  let rows =
+    List.map
+      (fun (name, seed, (k : Mpi_core.Fault.kill), o) ->
+        ( name,
+          [
+            Table.Text (string_of_int seed);
+            Table.Text (string_of_int k.Mpi_core.Fault.k_rank);
+            Table.Text (Printf.sprintf "%.0f" k.Mpi_core.Fault.k_at_ns);
+            Table.Text (if E.failed o then "fail" else "pass");
+            Table.Text (violations o);
+          ] ))
+      runs
+  in
+  let failures =
+    List.filter_map
+      (fun (name, seed, (k : Mpi_core.Fault.kill), o) ->
+        if not (E.failed o) then None
+        else
+          Some
+            (Printf.sprintf
+               "KILL SWEEP FAILED: %s seed %d (rank %d killed at %.0f ns): %s"
+               name seed k.Mpi_core.Fault.k_rank k.Mpi_core.Fault.k_at_ns
+               (violations o)))
+      runs
+  in
+  finish ?csv ~headers ~rows
+    ~check:
+      ( Printf.sprintf "kill sweep: %d run(s), every survivor set converged"
+          (List.length runs),
+        failures )
+    ()
 
 (* Profile run: one representative workload per instrumented subsystem —
    eager + rendezvous sends, a scheduled collective, serializer passes,
@@ -604,7 +640,7 @@ let run_profile ~quick ~out ~trace_out =
       (Simtime.Stats.snapshot_hists snap)
   in
   Table.print_table ~title:"Virtual-time histograms (ns)"
-    ~headers:[ "n"; "sum"; "p50"; "p99" ] ~rows:hist_rows ();
+    ~headers:[ ""; "n"; "sum"; "p50"; "p99" ] ~rows:hist_rows ();
   (* Self-check: every headline subsystem must have produced samples. *)
   let module Key = Simtime.Stats.Key in
   let missing =
@@ -619,19 +655,20 @@ let run_profile ~quick ~out ~trace_out =
         Key.h_ser_decode;
       ]
   in
-  if missing <> [] then begin
-    Format.printf "PROFILE CHECK FAILED: no samples for %s@."
-      (String.concat ", " missing);
-    Stdlib.exit 1
-  end
-  else Format.printf "profile check: all headline histograms populated@."
+  finish
+    ~check:
+      ( "profile check: all headline histograms populated",
+        if missing = [] then []
+        else
+          [
+            "PROFILE CHECK FAILED: no samples for "
+            ^ String.concat ", " missing;
+          ] )
+    ()
 
 (* Regenerate a self-contained markdown report of every measured result:
    the machine-written companion to EXPERIMENTS.md. *)
 let run_report ~quick ~path =
-  let protocol =
-    if quick then quick_protocol else Workloads.paper_protocol
-  in
   let buf = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let md_series ~xlabel series =
@@ -641,29 +678,15 @@ let run_report ~quick ~path =
     out "| %s | %s |\n" xlabel (String.concat " | " headers);
     out "|%s|\n"
       (String.concat "|" (List.init (List.length headers + 1) (fun _ -> "---")));
-    let xs =
-      List.map
-        (fun (p : Experiments.point) -> p.Experiments.x)
-        (List.hd series).Experiments.points
-    in
     List.iter
-      (fun x ->
-        let cells =
-          List.map
-            (fun (s : Experiments.series) ->
-              match
-                List.find_opt
-                  (fun (p : Experiments.point) -> p.Experiments.x = x)
-                  s.Experiments.points
-              with
-              | Some { result = Workloads.Time_us t; _ } ->
-                  Printf.sprintf "%.1f" t
-              | Some { result = Workloads.Crashed _; _ } -> "CRASH"
-              | None -> "-")
-            series
+      (fun (x, cells) ->
+        let cell = function
+          | Table.Num t -> Printf.sprintf "%.1f" t
+          | Table.Text _ -> "CRASH"
+          | Table.Missing -> "-"
         in
-        out "| %d | %s |\n" x (String.concat " | " cells))
-      xs
+        out "| %s | %s |\n" x (String.concat " | " (List.map cell cells)))
+      (series_rows series)
   in
   let md_verdicts vs =
     List.iter
@@ -676,7 +699,7 @@ let run_report ~quick ~path =
   out "# Measured results (auto-generated by `figures report`)\n\n";
   out "Protocol: %s.\n\n" (if quick then "quick" else "paper (200/100/3)");
   out "## Figure 9 — regular MPI ping-pong (us/iteration)\n\n";
-  let f9 = Experiments.fig9 ~protocol () in
+  let f9 = Experiments.fig9 ~protocol:(protocol ~quick) () in
   md_series ~xlabel:"bytes" f9;
   out "\n";
   md_verdicts (Shapes.fig9_checks f9);
@@ -699,13 +722,14 @@ let run_report ~quick ~path =
   write_file path (Buffer.contents buf);
   Format.printf "report written to %s@." path
 
-let run_speedup ~quick ~out =
+let run_speedup ~quick ~csv =
   let points = Harness.Speedup.sweep ~quick () in
   let cores = Harness.Speedup.cores () in
   let headers =
     [ "workload"; "domains"; "ranks"; "reps"; "cores"; "median_wall_ms";
       "speedup" ]
   in
+  let fixed3 v = Table.Text (Printf.sprintf "%.3f" v) in
   let rows =
     List.map
       (fun (p : Harness.Speedup.point) ->
@@ -715,8 +739,8 @@ let run_speedup ~quick ~out =
             Table.Num (float_of_int p.Harness.Speedup.p_ranks);
             Table.Num (float_of_int p.Harness.Speedup.p_reps);
             Table.Num (float_of_int cores);
-            Table.Num p.Harness.Speedup.p_median_wall_ms;
-            Table.Num p.Harness.Speedup.p_speedup;
+            fixed3 p.Harness.Speedup.p_median_wall_ms;
+            fixed3 p.Harness.Speedup.p_speedup;
           ] ))
       points
   in
@@ -732,14 +756,10 @@ let run_speedup ~quick ~out =
       "note: only %d core(s) available — the ratios measure scheduling \
        overhead, not scaling; the CI gate skips enforcement below 4 cores@."
       cores;
-  Harness.Speedup.write_csv ~path:out points;
-  Format.printf "csv written to %s@." out
+  finish ?csv ~headers ~rows ()
 
 let run_check ~quick =
-  let protocol =
-    if quick then quick_protocol else Workloads.paper_protocol
-  in
-  let f9 = Experiments.fig9 ~protocol () in
+  let f9 = Experiments.fig9 ~protocol:(protocol ~quick) () in
   let f10 = Experiments.fig10 () in
   let verdicts = Shapes.fig9_checks f9 @ Shapes.fig10_checks f10 in
   Format.printf "%a" Shapes.pp_verdicts verdicts;
@@ -757,12 +777,6 @@ open Cmdliner
 let quick =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduced iteration counts.")
 
-let csv =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
-
 let cmd_of name doc f = Cmd.v (Cmd.info name ~doc) f
 
 (* Check every output path before any work starts: a bad path is a usage
@@ -779,25 +793,34 @@ let with_outputs paths run =
     paths;
   run ()
 
-let fig9_cmd =
-  cmd_of "fig9" "Regenerate Figure 9."
+(* Every CSV sweep takes --quick and an optional --csv FILE, and writes
+   nothing unless given one. *)
+let sweep_cmd name doc run =
+  let csv =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
+  in
+  cmd_of name doc
     Term.(
-      const (fun quick csv ->
-          with_outputs (Option.to_list csv) (fun () ->
-              ignore (run_fig9 ~quick ~csv)))
-      $ quick $ csv)
+      const (fun run quick csv ->
+          with_outputs (Option.to_list csv) (fun () -> run ~quick ~csv))
+      $ run $ quick $ csv)
+
+let fig9_cmd =
+  sweep_cmd "fig9" "Regenerate Figure 9."
+    (Term.const (fun ~quick ~csv -> ignore (run_fig9 ~quick ~csv)))
 
 let fig10_cmd =
-  cmd_of "fig10" "Regenerate Figure 10."
-    Term.(
-      const (fun quick csv ->
-          with_outputs (Option.to_list csv) (fun () ->
-              ignore (run_fig10 ~quick ~csv)))
-      $ quick $ csv)
+  sweep_cmd "fig10" "Regenerate Figure 10." (Term.const run_fig10)
 
 let taba_cmd =
   cmd_of "taba" "Motor-vs-Indiana percentages (in-text claims)."
-    Term.(const (fun quick -> run_taba ~quick) $ quick)
+    Term.(
+      const (fun quick ->
+          run_taba (Experiments.fig9 ~protocol:(protocol ~quick) ()))
+      $ quick)
 
 let tabb_cmd =
   cmd_of "tabb" "Footnote 4: pinning by SSCLI build type."
@@ -808,13 +831,10 @@ let ablations_cmd =
     Term.(const (fun quick -> run_ablations ~quick) $ quick)
 
 let faults_cmd =
-  cmd_of "faults"
+  sweep_cmd "faults"
     "Loss sweep: the ring workload under injected faults; exit 1 if any \
      run's digest differs from the loss-free one."
-    Term.(
-      const (fun quick csv ->
-          with_outputs (Option.to_list csv) (fun () -> run_faults ~quick ~csv))
-      $ quick $ csv)
+    (Term.const run_faults)
 
 let profile_cmd =
   let out =
@@ -847,82 +867,42 @@ let killsweep_cmd =
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Fault seeds per workload (default 200; 20 with --quick).")
   in
-  let out =
-    Arg.(
-      value
-      & opt string "results/kill_sweep.csv"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the CSV.")
-  in
-  cmd_of "killsweep"
+  sweep_cmd "killsweep"
     "Rank-death sweep: the ULFM recovery loop under seeded kills, judged \
-     by survivor convergence."
-    Term.(
-      const (fun quick seeds out ->
-          with_outputs [ out ] (fun () -> run_killsweep ~quick ~seeds ~out))
-      $ quick $ seeds $ out)
+     by survivor convergence; exit 1 if any run fails."
+    Term.(const (fun seeds -> run_killsweep ~seeds) $ seeds)
 
 let coll_cmd =
-  cmd_of "coll"
+  sweep_cmd "coll"
     "Collective algorithm sweep: latency vs ranks x payload; exit 1 if the \
      allreduce policy picks the slower algorithm."
-    Term.(
-      const (fun quick csv ->
-          with_outputs (Option.to_list csv) (fun () -> run_coll ~quick ~csv))
-      $ quick $ csv)
+    (Term.const run_coll)
 
 let scale_cmd =
-  let out =
-    Arg.(
-      value
-      & opt string "results/scale_sweep.csv"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the CSV.")
-  in
-  cmd_of "scale"
+  sweep_cmd "scale"
     "Scale sweep: the two-level allreduce at 1k-64k simulated ranks, \
      checked against the analytic round/message model; exit 1 on mismatch."
-    Term.(
-      const (fun quick out ->
-          with_outputs [ out ] (fun () -> run_scale ~quick ~out))
-      $ quick $ out)
+    (Term.const run_scale)
 
 let rma_cmd =
-  let out =
-    Arg.(
-      value
-      & opt string "results/rma_sweep.csv"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the CSV.")
-  in
-  cmd_of "rma"
+  sweep_cmd "rma"
     "One-sided RMA sweep: put size x registration-cache capacity on the \
      rdma channel, each row checked against the transfer-path accounting; \
      exit 1 on mismatch."
-    Term.(
-      const (fun quick out -> with_outputs [ out ] (fun () -> run_rma ~quick ~out))
-      $ quick $ out)
+    (Term.const run_rma)
 
 let speedup_cmd =
-  let out =
-    Arg.(
-      value
-      & opt string "results/speedup_sweep.csv"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the CSV.")
-  in
-  cmd_of "speedup"
+  sweep_cmd "speedup"
     "Wall-clock speedup sweep: the ring and allreduce workloads on 1/2/4 \
      real domains (the only real-clock experiment; everything else is \
      virtual time)."
-    Term.(
-      const (fun quick out ->
-          with_outputs [ out ] (fun () -> run_speedup ~quick ~out))
-      $ quick $ out)
+    (Term.const run_speedup)
 
 let overlap_cmd =
-  cmd_of "overlap"
-    "Overlap sweep: nonblocking collectives vs the blocking baseline."
-    Term.(
-      const (fun quick csv ->
-          with_outputs (Option.to_list csv) (fun () -> run_overlap ~quick ~csv))
-      $ quick $ csv)
+  sweep_cmd "overlap"
+    "Overlap sweep: nonblocking collectives vs the blocking baseline; exit \
+     1 if any point is no better than blocking."
+    (Term.const run_overlap)
 
 let check_cmd =
   Cmd.v (Cmd.info "check" ~doc:"Run all shape checks; exit 1 on failure.")
@@ -944,15 +924,14 @@ let report_cmd =
 let all_cmd =
   cmd_of "all" "Everything: figures, tables, ablations."
     Term.(
-      const (fun quick csv ->
-          with_outputs (Option.to_list csv) (fun () ->
-              ignore (run_fig9 ~quick ~csv);
-              ignore (run_fig10 ~quick ~csv:None);
-              run_taba ~quick;
-              run_tabb ();
-              run_ablations ~quick;
-              run_faults ~quick ~csv:None))
-      $ quick $ csv)
+      const (fun quick ->
+          let f9 = run_fig9 ~quick ~csv:None in
+          run_fig10 ~quick ~csv:None;
+          run_taba f9;
+          run_tabb ();
+          run_ablations ~quick;
+          run_faults ~quick ~csv:None)
+      $ quick)
 
 let () =
   let info =

@@ -357,10 +357,8 @@ type loss_point = {
   digest : string;
 }
 
-let default_losses = [ 0.0; 0.02; 0.05; 0.1; 0.2; 0.3 ]
-
 let loss_sweep ?(n = 4) ?(rounds = 30) ?(size = 2048)
-    ?(losses = default_losses) () =
+    ?(losses = [ 0.0; 0.02; 0.05; 0.1; 0.2; 0.3 ]) () =
   List.map
     (fun loss ->
       let fault =
@@ -473,9 +471,6 @@ type coll_point = {
   c_msgs : int;
 }
 
-let default_coll_ranks = [ 2; 4; 8; 16; 32 ]
-let default_coll_sizes = [ 64; 1024; 16_384; 262_144 ]
-
 let floor_pow2 n =
   let rec go v = if 2 * v <= n then go (2 * v) else v in
   go 1
@@ -573,17 +568,14 @@ let overlap_point ~n ~bytes =
    shrinks as n grows (by 8 members the extra test pumps cost more than
    the idle they recover). The paper's testbed is the small end — two
    ranks on one node. *)
-let default_overlap_ranks = [ 2; 4 ]
-let default_overlap_sizes = [ 16_384; 65_536; 262_144 ]
-
-let overlap_sweep ?(ranks = default_overlap_ranks)
-    ?(sizes = default_overlap_sizes) () =
+let overlap_sweep ?(ranks = [ 2; 4 ]) ?(sizes = [ 16_384; 65_536; 262_144 ])
+    () =
   List.concat_map
     (fun n -> List.map (fun bytes -> overlap_point ~n ~bytes) sizes)
     ranks
 
-let coll_sweep ?(ranks = default_coll_ranks) ?(sizes = default_coll_sizes) ()
-    =
+let coll_sweep ?(ranks = [ 2; 4; 8; 16; 32 ])
+    ?(sizes = [ 64; 1024; 16_384; 262_144 ]) () =
   let module C = Mpi_core.Collectives in
   let measure c_coll c_algo c_ranks c_bytes body =
     let c_time_us, c_msgs = coll_run ~n:c_ranks body in
@@ -675,8 +667,6 @@ let scale_ok p =
   p.sc_msgs_intra + p.sc_msgs_inter = p.sc_model_msgs
   && p.sc_rounds = p.sc_model_rounds
 
-let default_scale_ranks = [ 1024; 4096; 16384; 65536 ]
-let quick_scale_ranks = [ 256; 1024 ]
 let scale_cores = 64
 
 let log2i n =
@@ -730,7 +720,7 @@ let scale_sweep ?(quick = false) ?ranks () =
   let ranks =
     match ranks with
     | Some r -> r
-    | None -> if quick then quick_scale_ranks else default_scale_ranks
+    | None -> if quick then [ 256; 1024 ] else [ 1024; 4096; 16384; 65536 ]
   in
   let bytes = 8 in
   List.concat_map
@@ -792,8 +782,6 @@ let rma_ok p =
   && p.m_hits + p.m_misses = 2 + p.m_write_rndv + p.m_read_rndv
   && p.m_evictions <= p.m_misses
 
-let default_rma_sizes = [ 1_024; 8_192; 65_536; 262_144 ]
-let default_rma_caches = [ 65_536; 262_144; 1_048_576 ]
 let rma_buffers = 4
 let rma_rounds = 6
 
@@ -842,8 +830,8 @@ let rma_point ~bytes ~cache =
     m_read_rndv = stat Key.rdma_read_rndv;
   }
 
-let rma_sweep ?(sizes = default_rma_sizes) ?(caches = default_rma_caches) ()
-    =
+let rma_sweep ?(sizes = [ 1_024; 8_192; 65_536; 262_144 ])
+    ?(caches = [ 65_536; 262_144; 1_048_576 ]) () =
   List.concat_map
     (fun bytes -> List.map (fun cache -> rma_point ~bytes ~cache) caches)
     sizes

@@ -8,15 +8,13 @@ type series = { system : string; points : point list }
 val fig9_sizes : int list
 (** 4 B … 256 KiB in powers of two — Figure 9's x axis. *)
 
-val fig10_objects : int list
-(** 2 … 8192 total objects in powers of two — Figure 10's x axis. *)
-
 val fig9 : ?protocol:Workloads.protocol -> unit -> series list
 (** Ping-pong of regular MPI operations, five systems. *)
 
 val fig10 : ?quick:bool -> unit -> series list
-(** Linked-list transport, four systems; mpiJava's line ends in a crash
-    past 1024 objects. [quick] trims the largest sizes (tests). *)
+(** Linked-list transport, four systems, at 2 … 8192 total objects in
+    powers of two (Figure 10's x axis); mpiJava's line ends in a crash
+    past 1024 objects. [quick] stops at 512 objects (tests). *)
 
 type taba_row = { metric : string; paper_pct : float; measured_pct : float }
 
@@ -44,7 +42,7 @@ val abl_call_mechanism :
 
 val abl_visited : ?quick:bool -> unit -> series list
 (** Motor's linear visited list vs the hashed structure (future work) on
-    the Figure 10 workload. *)
+    the Figure 10 workload and x axis ([quick] as for {!fig10}). *)
 
 val abl_eager_threshold :
   ?protocol:Workloads.protocol -> unit -> (int * (int * float) list) list
@@ -76,9 +74,6 @@ type loss_point = {
   digest : string;  (** final application state; must match loss 0 *)
 }
 
-val default_losses : float list
-(** 0, 2, 5, 10, 20, 30 per cent. *)
-
 val loss_sweep :
   ?n:int ->
   ?rounds:int ->
@@ -87,7 +82,8 @@ val loss_sweep :
   unit ->
   loss_point list
 (** Run {!Workloads.ring} (default 4 ranks, 30 rounds, 2 KiB messages)
-    under each loss rate, with duplication, corruption and delay scaled
+    under each loss rate in [losses] (default 0, 2, 5, 10, 20 and 30 per
+    cent), with duplication, corruption and delay scaled
     off the loss rate and the {!Mpi_core.Reliable} layer always on.
     Completion time grows with loss while the digest stays byte-identical
     to the fault-free run — the correctness-under-loss claim. *)
@@ -111,12 +107,6 @@ type coll_point = {
   c_msgs : int;  (** point-to-point messages the algorithm issued *)
 }
 
-val default_coll_ranks : int list
-(** 2, 4, 8, 16, 32. *)
-
-val default_coll_sizes : int list
-(** 64 B, 1 KiB, 16 KiB, 256 KiB. *)
-
 (** {1 Communication/computation overlap} *)
 
 type overlap_point = {
@@ -133,13 +123,6 @@ type overlap_point = {
           compute) actually hidden: [(block - overlap) / hideable] *)
 }
 
-val default_overlap_ranks : int list
-(** 2, 4 — the wire-idle-dominated regime where overlap exists; past 8
-    members the serialized send-side work leaves nothing to hide. *)
-
-val default_overlap_sizes : int list
-(** 16 KiB, 64 KiB, 256 KiB. *)
-
 val overlap_sweep :
   ?ranks:int list -> ?sizes:int list -> unit -> overlap_point list
 (** The claim behind the nonblocking collectives: computing through an
@@ -147,14 +130,19 @@ val overlap_sweep :
     allreduce burns polling. Efficiency must be strictly positive at
     every point (asserted by a test and the CI smoke run); 1.0 would be
     perfect overlap. Per-member compute is sized to [comm / n] so the
-    aggregate compute equals the collective latency. Feeds
+    aggregate compute equals the collective latency. [ranks] defaults to
+    2 and 4 — the wire-idle-dominated regime where overlap exists; past 8
+    members the serialized send-side work leaves nothing to hide.
+    [sizes] defaults to 16 KiB, 64 KiB and 256 KiB. Feeds
     [figures.exe -- overlap] and [results/overlap_sweep.csv]. *)
 
 val coll_sweep :
   ?ranks:int list -> ?sizes:int list -> unit -> coll_point list
 (** Latency versus ranks x payload for every collective algorithm in
     {!Mpi_core.Collectives} (each forced explicitly, not just the [`Auto]
-    pick), one fresh world per point, on the native-C++ cost model.
+    pick), one fresh world per point, on the native-C++ cost model, at
+    [ranks] (default 2, 4, 8, 16, 32) x [sizes] (default 64 B, 1 KiB,
+    16 KiB, 256 KiB).
     Infeasible combinations are skipped (Rabenseifner needs one granule
     per member, recursive-doubling allgather needs a power-of-two
     communicator). Feeds [figures.exe -- coll] and
@@ -180,11 +168,9 @@ val scale_ok : scale_point -> bool
 (** Measured traffic and rounds equal the analytic model — the gate the
     CI smoke run enforces on every row. *)
 
-val default_scale_ranks : int list
-(** 1024, 4096, 16384, 65536 — as 64-core nodes. *)
-
 val scale_sweep : ?quick:bool -> ?ranks:int list -> unit -> scale_point list
-(** One fresh [nodes x 64] world per point, one 8-byte allreduce per
+(** One fresh [nodes x 64] world per point at each of [ranks] (default
+    1024, 4096, 16384, 65536 — as 64-core nodes), one 8-byte allreduce per
     world: the two-level algorithm at every size, the flat recursive
     doubling oracle up to 4096 ranks. Every rank count must be a power
     of two divisible by 64. [quick] sweeps 256 and 1024 ranks (CI
@@ -212,17 +198,12 @@ val rma_ok : rma_point -> bool
     evictions never exceed misses. The CI smoke run enforces this on
     every row. *)
 
-val default_rma_sizes : int list
-(** 1 KiB (eager), 8 KiB (RDMA-read rendezvous), 64 KiB and 256 KiB
-    (RDMA-write rendezvous). *)
-
-val default_rma_caches : int list
-(** 64 KiB, 256 KiB, 1 MiB. *)
-
 val rma_sweep :
   ?sizes:int list -> ?caches:int list -> unit -> rma_point list
 (** One fresh 2-rank [`Rdma] world per point: six fence epochs of puts
     from four distinct origin buffers per rank, so the origin working
     set (4 x size) against the cache capacity decides between amortized
-    pin-down (hits) and LRU thrash (evictions). Feeds
+    pin-down (hits) and LRU thrash (evictions). [sizes] defaults to 1 KiB
+    (eager), 8 KiB (RDMA-read rendezvous), 64 KiB and 256 KiB (RDMA-write
+    rendezvous); [caches] to 64 KiB, 256 KiB and 1 MiB. Feeds
     [figures.exe -- rma] and [results/rma_sweep.csv]. *)

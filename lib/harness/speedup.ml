@@ -17,7 +17,6 @@ type point = {
   p_speedup : float;  (** 1-domain median / this median *)
 }
 
-let default_domains = [ 1; 2; 4 ]
 let cores () = Domain.recommended_domain_count ()
 
 let median samples =
@@ -49,7 +48,7 @@ let workloads ~quick =
              ~size:65536 ()) );
   ]
 
-let sweep ?(quick = false) ?(domains = default_domains) ?(reps = 5) () =
+let sweep ?(quick = false) ?(domains = [ 1; 2; 4 ]) ?(reps = 5) () =
   List.concat_map
     (fun (name, ranks, run) ->
       List.map
@@ -72,15 +71,3 @@ let sweep ?(quick = false) ?(domains = default_domains) ?(reps = 5) () =
       in
       List.map (fun p -> { p with p_speedup = base /. p.p_median_wall_ms }) points)
     (workloads ~quick)
-
-let csv_header = "workload,domains,ranks,reps,cores,median_wall_ms,speedup"
-
-let write_csv ~path points =
-  let c = cores () in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (csv_header ^ "\n");
-      List.iter
-        (fun p ->
-          Printf.fprintf oc "%s,%d,%d,%d,%d,%.3f,%.3f\n" p.p_workload
-            p.p_domains p.p_ranks p.p_reps c p.p_median_wall_ms p.p_speedup)
-        points)

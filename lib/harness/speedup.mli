@@ -16,17 +16,11 @@ type point = {
   p_speedup : float;  (** 1-domain median / this point's median *)
 }
 
-val default_domains : int list
-(** [1; 2; 4]. *)
-
 val cores : unit -> int
 (** [Domain.recommended_domain_count ()] — recorded alongside results so
     the gate can tell a real scaling failure from a 1-core machine. *)
 
 val sweep : ?quick:bool -> ?domains:int list -> ?reps:int -> unit -> point list
 (** Median-of-[reps] (default 5) wall times for each workload at each
-    domain count. [quick] shrinks the per-run work ~4x (CI smoke). *)
-
-val csv_header : string
-
-val write_csv : path:string -> point list -> unit
+    domain count in [domains] (default 1, 2 and 4). [quick] shrinks the
+    per-run work ~4x (CI smoke). *)

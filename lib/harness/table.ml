@@ -10,7 +10,8 @@ let cell_string = function
 
 let print_table ?(out = Format.std_formatter) ~title ~headers ~rows () =
   let all_rows =
-    ("", headers) :: List.map (fun (l, cs) -> (l, List.map cell_string cs)) rows
+    (List.hd headers, List.tl headers)
+    :: List.map (fun (l, cs) -> (l, List.map cell_string cs)) rows
   in
   let n_cols =
     List.fold_left (fun acc (_, cs) -> max acc (List.length cs)) 0 all_rows
@@ -47,7 +48,7 @@ let csv_escape s =
 
 let csv_string ~headers ~rows =
   let b = Buffer.create 256 in
-  Buffer.add_string b (String.concat "," (List.map csv_escape ("" :: headers)));
+  Buffer.add_string b (String.concat "," (List.map csv_escape headers));
   Buffer.add_char b '\n';
   List.iter
     (fun (label, cs) ->

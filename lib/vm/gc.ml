@@ -9,6 +9,11 @@ type conditional_pin = {
 
 type pending = No_gc | Minor_gc | Full_gc
 
+(* [Broken]: a collection was aborted half way (out of memory during
+   promotion), leaving survivors forwarded while slots still point at the
+   originals; no later collection can be trusted on this heap. *)
+type phase = Idle | Collecting | Broken
+
 type t = {
   heap : Heap.t;
   registry : Classes.t;
@@ -28,7 +33,7 @@ type t = {
   mutable pending : pending;
   mutable minor_count : int;
   mutable full_count : int;
-  mutable in_gc : bool;
+  mutable phase : phase;
   mutable post_gc_hooks : (unit -> unit) list;
 }
 
@@ -95,7 +100,7 @@ let create heap registry =
     pending = No_gc;
     minor_count = 0;
     full_count = 0;
-    in_gc = false;
+    phase = Idle;
     post_gc_hooks = [];
   }
 
@@ -219,14 +224,23 @@ let resolve_pins t =
   cycle
 
 let rec collect t ~full =
-  if t.in_gc then invalid_arg "Gc.collect: re-entrant collection";
-  t.in_gc <- true;
-  Simtime.Probe.with_span t.env
-    ~key:(if full then Key.h_gc_full_pause else Key.h_gc_young_pause)
-    ~rank:(-1) ~cat:"gc"
-    ~name:(if full then "gc/full" else "gc/young")
-    (fun () -> collect_timed t ~full);
-  t.in_gc <- false;
+  (match t.phase with
+  | Idle -> ()
+  | Collecting -> invalid_arg "Gc.collect: re-entrant collection"
+  | Broken ->
+      failwith "Gc.collect: heap unusable after an out-of-memory collection");
+  t.phase <- Collecting;
+  (try
+     Simtime.Probe.with_span t.env
+       ~key:(if full then Key.h_gc_full_pause else Key.h_gc_young_pause)
+       ~rank:(-1) ~cat:"gc"
+       ~name:(if full then "gc/full" else "gc/young")
+       (fun () -> collect_timed t ~full)
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     t.phase <- Broken;
+     Printexc.raise_with_backtrace e bt);
+  t.phase <- Idle;
   List.iter (fun hook -> hook ()) t.post_gc_hooks
 
 (* The collection proper: everything inside the pause histogram and the

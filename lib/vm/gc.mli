@@ -89,6 +89,12 @@ val pinned_count : t -> int
 (** {1 Collection} *)
 
 val collect : t -> full:bool -> unit
+(** Run a young ([full:false]) or full collection now. Raises
+    [Invalid_argument] when called from inside a collection. A collection
+    that raises (out of memory while promoting survivors) is left half
+    done, so every later [collect] on this heap raises [Failure] saying
+    the heap is unusable. *)
+
 val request_gc : ?full:bool -> t -> unit
 (** Ask for a collection at the next safepoint ({!poll}). *)
 

@@ -177,15 +177,22 @@ let test_abl_split_scatter () =
     rows
 
 let test_table_rendering () =
-  let s =
-    T.csv_string
-      ~headers:[ "a"; "b" ]
-      ~rows:[ ("row1", [ T.Num 1.5; T.Text "x,y" ]); ("row2", [ T.Missing; T.Num 2.0 ]) ]
+  let rows =
+    [
+      ("row1", [ T.Num 1.5; T.Text "x,y" ]);
+      ("row2", [ T.Missing; T.Num 2.0 ]);
+      ("row3", [ T.Num 1234567.0; T.Num 0.000123456789 ]);
+    ]
   in
-  Alcotest.(check bool) "csv quotes commas" true
-    (String.length s > 0
-    && String.split_on_char '\n' s |> List.length >= 3
-    && String.index_opt s '"' <> None)
+  Alcotest.(check string) "named label column"
+    "workload,a,b\n\
+     row1,1.5,\"x,y\"\n\
+     row2,,2\n\
+     row3,1.23457e+06,0.000123457\n"
+    (T.csv_string ~headers:[ "workload"; "a"; "b" ] ~rows);
+  Alcotest.(check string) "unnamed label column"
+    ",a,b\nrow1,1.5,\"x,y\"\nrow2,,2\nrow3,1.23457e+06,0.000123457\n"
+    (T.csv_string ~headers:[ ""; "a"; "b" ] ~rows)
 
 (* Output paths are checked before a sweep starts: missing parents are
    created, nothing is left behind or truncated, and a path that cannot be

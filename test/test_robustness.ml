@@ -111,7 +111,14 @@ let test_oom_during_deserialize_is_clean () =
      ignore (Ser.deserialize small_rt.Runtime.gc repr);
      Alcotest.fail "expected Out_of_memory"
    with Heap.Out_of_memory -> ());
-  Heap.check_consistency small_rt.Runtime.heap
+  Heap.check_consistency small_rt.Runtime.heap;
+  (* The OOM struck mid-collection: a later collection must say the heap
+     is unusable, not blame a re-entrant call. *)
+  match Gc.collect small_rt.Runtime.gc ~full:true with
+  | () -> Alcotest.fail "expected the aborted collection to be reported"
+  | exception Failure msg ->
+      Alcotest.(check string) "collect after an aborted collection"
+        "Gc.collect: heap unusable after an out-of-memory collection" msg
 
 let test_failed_decode_releases_handles () =
   (* Pass 1 of a decode allocates every object before pass 2 resolves the
